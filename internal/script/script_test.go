@@ -85,6 +85,124 @@ fn main() {
 	if _, err := run(t, `fn main() { return q; }`, Options{}); err == nil {
 		t.Fatal("undefined variable should fail")
 	}
+
+	cases := []struct {
+		name, src string
+		want      Value
+	}{
+		{"nested shadowing", `
+fn main() {
+	let x = 1;
+	let seen = 0;
+	{
+		let x = 2;
+		{
+			let x = 3;
+			seen = seen * 10 + x;
+		}
+		seen = seen * 10 + x;
+	}
+	return seen * 10 + x;   // 3, 2, 1
+}`, Int(321)},
+		{"let twice in one scope", `
+fn main() {
+	let x = 1;
+	let x = x + 10;
+	x = x + 100;
+	return x;
+}`, Int(111)},
+		{"assign outer from inner blocks", `
+fn main() {
+	let acc = 0;
+	if true {
+		{ acc = acc + 1; }
+		let acc2 = acc;
+		acc = acc2 + 1;
+	} else {
+		acc = 99;
+	}
+	for v in list(10, 20) {
+		if v > 15 { acc = acc + v; }
+	}
+	return acc;
+}`, Int(22)},
+		{"shadow does not leak into outer", `
+fn main() {
+	let x = 5;
+	if x > 0 { let x = 7; x = x + 1; }
+	return x;
+}`, Int(5)},
+		{"fresh while-body let per iteration", `
+fn main() {
+	let i = 0;
+	let total = 0;
+	while i < 4 {
+		let fresh = 0;
+		fresh = fresh + i;
+		total = total + fresh;
+		i = i + 1;
+	}
+	return total;   // 0+1+2+3: fresh never carries over
+}`, Int(6)},
+		{"params shadow and do not leak", `
+fn inner(x) { x = x + 1; return x; }
+fn main() {
+	let x = 40;
+	let y = inner(x);
+	return x + y;
+}`, Int(81)},
+	}
+	for _, tc := range cases {
+		v, err := run(t, tc.src, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !Equal(v, tc.want) {
+			t.Errorf("%s = %v, want %v", tc.name, v, tc.want)
+		}
+	}
+
+	// The for-in variable, and lets inside any block, end with the block.
+	for _, src := range []string{
+		`fn main() { for v in list(1, 2) { } return v; }`,
+		`fn main() { if true { let w = 1; } return w; }`,
+		`fn main() { let i = 0; while i < 2 { let w = i; i = i + 1; } return w; }`,
+		`fn main() { { let w = 1; } w = 2; }`,
+		`fn f() { return local; } fn main() { let local = 1; return f(); }`,
+	} {
+		if _, err := run(t, src, Options{}); err == nil {
+			t.Errorf("%s: out-of-scope name resolved", src)
+		}
+	}
+
+	// Globals bound by Run are visible (and assignable) inside functions,
+	// and a function-local let shadows a global without touching it.
+	prog, err := Parse(`
+let g = 7;
+let h = 1;
+fn read() { return g + h; }
+fn write() { h = h + 1; return h; }
+fn shadow() { let g = 100; return g; }
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := NewInterp(prog, Options{})
+	if err := in.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range []struct {
+		fn   string
+		want int64
+	}{{"read", 8}, {"write", 2}, {"read", 9}, {"shadow", 100}, {"read", 9}} {
+		v, err := in.Call(step.fn)
+		if err != nil {
+			t.Fatalf("%s: %v", step.fn, err)
+		}
+		if got, _ := v.AsInt(); got != step.want {
+			t.Fatalf("%s = %v, want %d", step.fn, v, step.want)
+		}
+	}
 }
 
 func TestControlFlow(t *testing.T) {
@@ -370,6 +488,36 @@ func TestValueConversions(t *testing.T) {
 	}
 }
 
+// fuelProgram exercises every scope-opening construct (calls, nested
+// blocks, if/else branches, for-in iterations, while bodies, break,
+// continue and return from inside nested scopes) plus three ways to
+// fail mid-block: an undefined variable, fuel exhaustion and runaway
+// recursion.
+const fuelProgram = `
+fn add(a, b) { return a + b; }
+fn walk(n) {
+	let s = 0;
+	for v in list(1, 2, 3, 4, 5) {
+		if v == 4 { continue; }
+		if v > n { break; }
+		{ let t = add(v, s); s = t; }
+	}
+	let i = 0;
+	while true {
+		i = i + 1;
+		if i % 2 == 0 { let skip = i; continue; } else { s = s + i; }
+		if i > 6 { return s; }
+	}
+}
+fn main() { return walk(5) + walk(2); }
+fn bad_var() {
+	let a = 1;
+	{ let b = 2; for v in list(1, 2) { if v == 2 { return add(a, nope); } } }
+}
+fn spin() { let i = 0; while true { let j = i; { i = add(j, 1); } } }
+fn deep(n) { let x = n; for v in list(x) { return deep(v + 1); } }
+`
+
 func TestFuelUsedReporting(t *testing.T) {
 	prog, _ := Parse(`fn main() { let i = 0; while i < 100 { i = i + 1; } }`)
 	in := NewInterp(prog, Options{Fuel: 100_000})
@@ -378,6 +526,66 @@ func TestFuelUsedReporting(t *testing.T) {
 	}
 	if used := in.FuelUsed(); used < 100 || used > 10_000 {
 		t.Fatalf("FuelUsed = %d, expected a few hundred", used)
+	}
+
+	// Exact figures: one unit per statement, one per expression node,
+	// one per completed for-in iteration. How frames are built must
+	// leave these numbers alone.
+	prog, err := Parse(fuelProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in = NewInterp(prog, Options{Fuel: 10_000, MaxDepth: 16})
+	for _, tc := range []struct {
+		fn   string
+		args []Value
+		want Value
+		fuel int64
+	}{
+		{"main", nil, Int(46), 404},
+		{"walk", []Value{Int(5)}, Int(27), 217},
+		{"walk", []Value{Int(2)}, Int(19), 181},
+		{"add", []Value{Int(2), Int(3)}, Int(5), 4},
+	} {
+		v, err := in.Call(tc.fn, tc.args...)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.fn, err)
+		}
+		if !Equal(v, tc.want) || in.FuelUsed() != tc.fuel {
+			t.Errorf("%s%v = %v with FuelUsed %d, want %v with %d", tc.fn, tc.args, v, in.FuelUsed(), tc.want, tc.fuel)
+		}
+	}
+
+	// A call that fails mid-block leaves nothing behind: the next call
+	// on the same interpreter matches a fresh clone exactly.
+	fresh := in.Clone(nil)
+	wantV, err := fresh.Call("main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantFuel := fresh.FuelUsed()
+	for _, tc := range []struct {
+		fn   string
+		args []Value
+		is   error
+	}{
+		{"bad_var", nil, nil},
+		{"spin", nil, ErrFuel},
+		{"deep", []Value{Int(0)}, ErrDepth},
+		{"walk", nil, nil},
+	} {
+		_, err := in.Call(tc.fn, tc.args...)
+		if err == nil || (tc.is != nil && !errors.Is(err, tc.is)) {
+			t.Fatalf("%s: err = %v, want failure %v", tc.fn, err, tc.is)
+		}
+		v, err := in.Call("main")
+		if err != nil {
+			t.Fatalf("main after %s: %v", tc.fn, err)
+		}
+		if !Equal(v, wantV) || in.FuelUsed() != wantFuel {
+			t.Fatalf("main after %s = %v with FuelUsed %d, fresh clone %v with %d",
+				tc.fn, v, in.FuelUsed(), wantV, wantFuel)
+		}
 	}
 }
 
