@@ -353,7 +353,15 @@ func (h *Hub) BeginTick(tick int64) {
 		return
 	}
 	sort.Slice(due, func(i, j int) bool { return due[i] < due[j] })
-	for _, id := range due {
+	for i, id := range due {
+		// Every declined field of an entity registers the entity again,
+		// so one id can sit here several times. Evaluating it once is
+		// enough: a re-evaluation ships nothing (cur == sent after the
+		// first ship) and would only register the same dues again,
+		// compounding the index from tick to tick.
+		if i > 0 && id == due[i-1] {
+			continue
+		}
 		es, ok := h.ents[id]
 		if !ok {
 			continue

@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"fmt"
 	"testing"
 
 	"gamedb/internal/spatial"
@@ -275,5 +276,62 @@ func TestHubFlushDeterministicAcrossWorkers(t *testing.T) {
 	}
 	if m1 == 0 || b1 == 0 {
 		t.Fatal("scenario shipped nothing")
+	}
+}
+
+// TestHubDueIndexStaysBounded: an entity whose Coarse fields all diverge
+// below epsilon at once registers one due per field. Every due
+// evaluation re-registers the fields still pending, so without
+// collapsing repeated ids each field doubled its predecessor's entries
+// (2^(fields-1) for the last one) and the due index grew with every
+// divergence. Bounded, a tick's due list never holds more than one
+// entry per (entity, field), and each field still ships exactly on its
+// deadline.
+func TestHubDueIndexStaysBounded(t *testing.T) {
+	ages := []int64{2, 3, 5, 8, 13}
+	specs := make([]FieldSpec, len(ages))
+	for i, a := range ages {
+		specs[i] = FieldSpec{Name: fmt.Sprintf("f%d", i), Class: Coarse, Epsilon: 1, MaxAge: a}
+	}
+	h := NewHub(HubConfig{Specs: specs, Cell: 32})
+	c := h.AddClient(1, spatial.Vec2{X: 100, Y: 100}, 200, 0)
+	const entities = 16
+	vals := make([]float64, len(specs))
+	flush(h, 1, func() {
+		for i := 0; i < entities; i++ {
+			h.SpawnEntity(ID(i+1), spatial.Vec2{X: 100 + float64(i), Y: 100}, vals)
+		}
+	})
+	base := c.Msgs
+	const period = 16 // > 1 + the largest MaxAge: cycles never overlap
+	cycles := int64(0)
+	for tick := int64(2); tick <= 1+8*period; tick++ {
+		phase := (tick - 2) % period
+		flush(h, tick, func() {
+			if phase > 1 {
+				return
+			}
+			// Phase 0 jumps every field past epsilon (ships now); phase 1
+			// nudges it back under epsilon (declined, due at +MaxAge).
+			for fi := range vals {
+				vals[fi] = float64(10*(tick-phase)) + 0.1*float64(phase)
+			}
+			if phase == 0 {
+				cycles++
+			}
+			for i := 0; i < entities; i++ {
+				h.UpdateEntity(ID(i+1), spatial.Vec2{X: 100 + float64(i), Y: 100}, vals)
+			}
+		})
+		for due, ids := range h.dueAt {
+			if len(ids) > entities*len(specs) {
+				t.Fatalf("tick %d: due list for tick %d holds %d entries, want <= %d",
+					tick, due, len(ids), entities*len(specs))
+			}
+		}
+	}
+	// Per cycle each (entity, field) ships twice: the jump and the due.
+	if got, want := c.Msgs-base, 2*cycles*entities*int64(len(specs)); got != want {
+		t.Fatalf("shipped %d field updates over %d cycles, want %d", got, cycles, want)
 	}
 }

@@ -18,7 +18,11 @@ type Builtin struct {
 	Name    string
 	MinArgs int
 	MaxArgs int // -1 = variadic
-	Fn      func(args []Value) (Value, error)
+	// Fn receives a window of the interpreter's argument stack: args is
+	// valid only for the duration of the call and is overwritten by
+	// later calls, so a builtin that keeps the arguments (e.g. returns
+	// them as a list) must copy them.
+	Fn func(args []Value) (Value, error)
 }
 
 // Options configures an interpreter.
@@ -43,7 +47,11 @@ const (
 )
 
 // Interp executes a parsed Program. One Interp is typically shared by all
-// entities running a behavior; per-call state lives on the stack.
+// entities running a behavior. Per-call frames come from the Interp's
+// own pools — scopes from a free list, call arguments from an argument
+// stack — so a warmed-up Interp runs calls without allocating, and one
+// Interp must not run two calls at once (Clone gives each goroutine its
+// own).
 type Interp struct {
 	prog     *Program
 	builtins map[string]Builtin
@@ -54,19 +62,53 @@ type Interp struct {
 	fuel    int64
 	depth   int
 	globals *env
+
+	free []*env  // released scopes, bindings zeroed
+	args []Value // argument stack; each call expression uses a window
+	ret  Value   // value carried by the in-flight returnErr
 }
 
+// binding is one variable in a scope.
+type binding struct {
+	name string
+	v    Value
+}
+
+// env is one lexical scope: a short slice of bindings (a name appears
+// at most once) and the enclosing scope.
 type env struct {
-	vars   map[string]Value
+	vars   []binding
 	parent *env
 }
 
-func newEnv(parent *env) *env { return &env{vars: make(map[string]Value), parent: parent} }
+// newEnv takes a scope from the free list, or allocates one.
+func (in *Interp) newEnv(parent *env) *env {
+	n := len(in.free)
+	if n == 0 {
+		return &env{parent: parent}
+	}
+	e := in.free[n-1]
+	in.free[n-1] = nil
+	in.free = in.free[:n-1]
+	e.parent = parent
+	return e
+}
+
+// release returns a scope to the free list. Its bindings are zeroed so
+// the pool keeps no list or string alive.
+func (in *Interp) release(e *env) {
+	clear(e.vars)
+	e.vars = e.vars[:0]
+	e.parent = nil
+	in.free = append(in.free, e)
+}
 
 func (e *env) lookup(name string) (Value, bool) {
 	for s := e; s != nil; s = s.parent {
-		if v, ok := s.vars[name]; ok {
-			return v, true
+		for i := range s.vars {
+			if s.vars[i].name == name {
+				return s.vars[i].v, true
+			}
 		}
 	}
 	return Value{}, false
@@ -74,12 +116,26 @@ func (e *env) lookup(name string) (Value, bool) {
 
 func (e *env) assign(name string, v Value) bool {
 	for s := e; s != nil; s = s.parent {
-		if _, ok := s.vars[name]; ok {
-			s.vars[name] = v
-			return true
+		for i := range s.vars {
+			if s.vars[i].name == name {
+				s.vars[i].v = v
+				return true
+			}
 		}
 	}
 	return false
+}
+
+// declare binds name in this scope, rebinding it if already declared
+// here (a second let in one scope overwrites the first).
+func (e *env) declare(name string, v Value) {
+	for i := range e.vars {
+		if e.vars[i].name == name {
+			e.vars[i].v = v
+			return
+		}
+	}
+	e.vars = append(e.vars, binding{name, v})
 }
 
 // NewInterp builds an interpreter for prog.
@@ -120,7 +176,7 @@ func NewInterp(prog *Program, opts Options) *Interp {
 	for _, b := range opts.Builtins {
 		in.builtins[b.Name] = b
 	}
-	in.globals = newEnv(nil)
+	in.globals = &env{}
 	return in
 }
 
@@ -151,6 +207,7 @@ func (in *Interp) Run() error {
 	in.depth = 0
 	for _, s := range in.prog.Stmts {
 		if _, err := in.exec(s, in.globals); err != nil {
+			in.ret = Value{} // a top-level return has no caller to take it
 			return stripFlow(err)
 		}
 	}
@@ -161,7 +218,7 @@ func (in *Interp) Run() error {
 func (in *Interp) Call(name string, args ...Value) (Value, error) {
 	in.fuel = in.fuelCap
 	in.depth = 0
-	return in.call(name, args, 0)
+	return in.callHost(name, args)
 }
 
 // Resume invokes a declared function without resetting fuel, letting a
@@ -169,16 +226,34 @@ func (in *Interp) Call(name string, args ...Value) (Value, error) {
 // longer uses it: behaviors get a fresh per-invocation budget via Call,
 // which keeps an entity's outcome independent of roster partitioning.)
 func (in *Interp) Resume(name string, args ...Value) (Value, error) {
-	return in.call(name, args, 0)
+	return in.callHost(name, args)
+}
+
+// callHost runs a host-initiated call with the arguments copied onto
+// the argument stack, so the caller's variadic slice does not escape.
+func (in *Interp) callHost(name string, args []Value) (Value, error) {
+	base := len(in.args)
+	in.args = append(in.args, args...)
+	v, err := in.call(name, in.args[base:], 0)
+	in.popArgs(base)
+	return v, err
+}
+
+// popArgs truncates the argument stack to base, zeroing the popped
+// window.
+func (in *Interp) popArgs(base int) {
+	clear(in.args[base:])
+	in.args = in.args[:base]
 }
 
 // ResetFuel restores the fuel budget to its configured cap.
 func (in *Interp) ResetFuel() { in.fuel = in.fuelCap }
 
-// control-flow sentinels.
+// control-flow sentinels. They carry no data, so raising one does not
+// allocate; a return's value waits in Interp.ret until call takes it.
 type breakErr struct{}
 type continueErr struct{}
-type returnErr struct{ v Value }
+type returnErr struct{}
 
 func (breakErr) Error() string    { return "break outside loop" }
 func (continueErr) Error() string { return "continue outside loop" }
@@ -220,15 +295,18 @@ func (in *Interp) call(name string, args []Value, line int) (Value, error) {
 		in.depth--
 		return Null(), fmt.Errorf("%w (line %d)", ErrDepth, line)
 	}
-	defer func() { in.depth-- }()
-	scope := newEnv(in.globals)
+	scope := in.newEnv(in.globals)
 	for i, p := range fn.Params {
-		scope.vars[p] = args[i]
+		scope.declare(p, args[i])
 	}
 	_, err := in.execBlock(fn.Body, scope)
+	in.release(scope)
+	in.depth--
 	if err != nil {
-		if r, ok := err.(returnErr); ok {
-			return r.v, nil
+		if _, ok := err.(returnErr); ok {
+			v := in.ret
+			in.ret = Value{}
+			return v, nil
 		}
 		return Null(), err
 	}
@@ -247,7 +325,7 @@ func (in *Interp) exec(s Stmt, scope *env) (Value, error) {
 		if err != nil {
 			return Null(), err
 		}
-		scope.vars[st.Name] = v
+		scope.declare(st.Name, v)
 		return Null(), nil
 	case *AssignStmt:
 		v, err := in.eval(st.E, scope)
@@ -261,17 +339,17 @@ func (in *Interp) exec(s Stmt, scope *env) (Value, error) {
 	case *ExprStmt:
 		return in.eval(st.E, scope)
 	case *Block:
-		return in.execBlock(st, newEnv(scope))
+		return Null(), in.execScoped(st, scope, "", Value{})
 	case *IfStmt:
 		c, err := in.evalBool(st.Cond, scope)
 		if err != nil {
 			return Null(), err
 		}
 		if c {
-			return in.execBlock(st.Then, newEnv(scope))
+			return Null(), in.execScoped(st.Then, scope, "", Value{})
 		}
 		if st.Else != nil {
-			return in.execBlock(st.Else, newEnv(scope))
+			return Null(), in.execScoped(st.Else, scope, "", Value{})
 		}
 		return Null(), nil
 	case *WhileStmt:
@@ -283,9 +361,12 @@ func (in *Interp) exec(s Stmt, scope *env) (Value, error) {
 			if !c {
 				return Null(), nil
 			}
-			if err := in.loopBody(st.Body, scope); err != nil {
+			if err := in.execScoped(st.Body, scope, "", Value{}); err != nil {
 				if _, isBreak := err.(breakErr); isBreak {
 					return Null(), nil
+				}
+				if _, isCont := err.(continueErr); isCont {
+					continue
 				}
 				return Null(), err
 			}
@@ -300,9 +381,7 @@ func (in *Interp) exec(s Stmt, scope *env) (Value, error) {
 			return Null(), errAt(st.Line(), "for-in over %s, want list", seq.Kind())
 		}
 		for _, item := range items {
-			body := newEnv(scope)
-			body.vars[st.Var] = item
-			if _, err := in.execBlock(st.Body, body); err != nil {
+			if err := in.execScoped(st.Body, scope, st.Var, item); err != nil {
 				if _, isBreak := err.(breakErr); isBreak {
 					return Null(), nil
 				}
@@ -325,7 +404,8 @@ func (in *Interp) exec(s Stmt, scope *env) (Value, error) {
 				return Null(), err
 			}
 		}
-		return Null(), returnErr{v}
+		in.ret = v
+		return Null(), returnErr{}
 	case *BreakStmt:
 		return Null(), breakErr{}
 	case *ContinueStmt:
@@ -335,17 +415,18 @@ func (in *Interp) exec(s Stmt, scope *env) (Value, error) {
 	}
 }
 
-// loopBody runs a while-loop body in a fresh scope, translating continue
-// into normal completion.
-func (in *Interp) loopBody(b *Block, scope *env) error {
-	_, err := in.execBlock(b, newEnv(scope))
-	if err != nil {
-		if _, isCont := err.(continueErr); isCont {
-			return nil
-		}
-		return err
+// execScoped runs b in a fresh child scope of parent, binding name to
+// v first when name is set (a for-in variable). The scope goes back to
+// the free list on every exit, errors and control-flow sentinels
+// included.
+func (in *Interp) execScoped(b *Block, parent *env, name string, v Value) error {
+	scope := in.newEnv(parent)
+	if name != "" {
+		scope.declare(name, v)
 	}
-	return nil
+	_, err := in.execBlock(b, scope)
+	in.release(scope)
+	return err
 }
 
 func (in *Interp) execBlock(b *Block, scope *env) (Value, error) {
@@ -391,15 +472,20 @@ func (in *Interp) eval(e Expr, scope *env) (Value, error) {
 		}
 		return v, nil
 	case *CallExpr:
-		args := make([]Value, len(ex.Args))
-		for i, a := range ex.Args {
+		// Arguments go onto the argument stack; a nested call pushes
+		// above this window and pops back before the next one lands.
+		base := len(in.args)
+		for _, a := range ex.Args {
 			v, err := in.eval(a, scope)
 			if err != nil {
+				in.popArgs(base)
 				return Null(), err
 			}
-			args[i] = v
+			in.args = append(in.args, v)
 		}
-		return in.call(ex.Name, args, ex.Line())
+		v, err := in.call(ex.Name, in.args[base:], ex.Line())
+		in.popArgs(base)
+		return v, err
 	case *UnExpr:
 		v, err := in.eval(ex.E, scope)
 		if err != nil {
