@@ -559,7 +559,7 @@ func BenchmarkE14ParallelTick(b *testing.B) {
 // fires a 3-round self-targeted trigger cascade each tick (the shared
 // shard.CascadePackXML scenario, so bench and the shard grid test race
 // the same workload).
-func cascadeBenchWorld(b *testing.B, n, workers int, direct, rowApply bool, compile string) *world.World {
+func cascadeBenchWorld(b *testing.B, n, workers int) *world.World {
 	b.Helper()
 	c, errs := content.LoadAndCompile(strings.NewReader(shard.CascadePackXML))
 	if len(errs) > 0 {
@@ -567,8 +567,7 @@ func cascadeBenchWorld(b *testing.B, n, workers int, direct, rowApply bool, comp
 	}
 	w := world.New(world.Config{
 		Seed: 42, CellSize: 16, ScriptFuel: 1 << 40, TickDT: 0.5,
-		Workers: workers, DirectTriggers: direct, RowApply: rowApply,
-		CompileBehaviors: compile,
+		Workers: workers,
 	})
 	if err := w.LoadPack(c); err != nil {
 		b.Fatal(err)
@@ -592,13 +591,10 @@ func cascadeBenchWorld(b *testing.B, n, workers int, direct, rowApply bool, comp
 }
 
 // BenchmarkE15TriggerCascade: one tick of a trigger-cascade-heavy crowd
-// (every entity fires 3 rounds of matched trigger actions per tick) —
-// the legacy direct single-threaded drain vs the effect-aware round
-// drain at 1/2/4/8 workers. The effect drain's state is identical at
-// every width (and identical to direct execution on this per-entity
-// workload); trigger-ns/op isolates the drain cost the comparison is
-// about. (Speedup needs cores: GOMAXPROCS caps what any worker count
-// can deliver.)
+// (every entity fires 3 rounds of matched trigger actions per tick)
+// through the effect-round drain at 1/2/4/8 workers. State is identical
+// at every width; trigger-ns/op isolates the drain cost. (Speedup needs
+// cores: GOMAXPROCS caps what any worker count can deliver.)
 func BenchmarkE15TriggerCascade(b *testing.B) {
 	const units = 2000
 	run := func(b *testing.B, w *world.World) {
@@ -621,13 +617,8 @@ func BenchmarkE15TriggerCascade(b *testing.B) {
 		b.ReportMetric(float64(fired)/float64(b.N), "fired/tick")
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("direct-w%d", workers), func(b *testing.B) {
-			run(b, cascadeBenchWorld(b, units, workers, true, false, ""))
-		})
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("effect-w%d", workers), func(b *testing.B) {
-			run(b, cascadeBenchWorld(b, units, workers, false, false, ""))
+			run(b, cascadeBenchWorld(b, units, workers))
 		})
 	}
 }
@@ -636,7 +627,7 @@ func BenchmarkE15TriggerCascade(b *testing.B) {
 // shard.MinglePackXML crowd (neighbor scan + two position sets + an int
 // add per entity, velocity physics adding x/y deltas), the workload
 // whose tick cost concentrates in the effect-apply phase.
-func applyBenchWorld(b *testing.B, n, workers int, rowApply bool, compile string) *world.World {
+func applyBenchWorld(b *testing.B, n, workers int) *world.World {
 	b.Helper()
 	c, errs := content.LoadAndCompile(strings.NewReader(shard.MinglePackXML))
 	if len(errs) > 0 {
@@ -644,8 +635,7 @@ func applyBenchWorld(b *testing.B, n, workers int, rowApply bool, compile string
 	}
 	w := world.New(world.Config{
 		Seed: 42, CellSize: 8, ScriptFuel: 1 << 40, TickDT: 0.5,
-		Workers: workers, RowApply: rowApply,
-		CompileBehaviors: compile,
+		Workers: workers,
 	})
 	if err := w.LoadPack(c); err != nil {
 		b.Fatal(err)
@@ -668,17 +658,15 @@ func applyBenchWorld(b *testing.B, n, workers int, rowApply bool, compile string
 	return w
 }
 
-// BenchmarkE16ApplyBatch: the columnar batch apply vs the legacy
-// row-at-a-time apply (Config.RowApply) on the two apply-bound
-// workloads — the E14-shaped mingle crowd (apply-ns/op isolates the
-// phase the batching rebuilt) and the E15 trigger cascade (whose
-// per-round applies ride the same path, surfaced as trigger-ns/op).
-// Both modes produce bit-identical state (the grid equivalence tests
-// pin it), so the delta is pure apply-path cost.
+// BenchmarkE16ApplyBatch: the columnar batch apply on the two
+// apply-bound workloads — the E14-shaped mingle crowd (apply-ns/op
+// isolates the phase the batching rebuilt) and the E15 trigger cascade
+// (whose per-round applies ride the same path, surfaced as
+// trigger-ns/op).
 func BenchmarkE16ApplyBatch(b *testing.B) {
 	const units = 2500
-	runApply := func(b *testing.B, rowApply bool, workers int) {
-		w := applyBenchWorld(b, units, workers, rowApply, "")
+	runApply := func(b *testing.B, workers int) {
+		w := applyBenchWorld(b, units, workers)
 		b.ReportAllocs()
 		b.ResetTimer()
 		var applyNS, queryNS int64
@@ -699,14 +687,11 @@ func BenchmarkE16ApplyBatch(b *testing.B) {
 	}
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("apply-heavy/batch-w%d", workers), func(b *testing.B) {
-			runApply(b, false, workers)
-		})
-		b.Run(fmt.Sprintf("apply-heavy/row-w%d", workers), func(b *testing.B) {
-			runApply(b, true, workers)
+			runApply(b, workers)
 		})
 	}
-	runCascadeMode := func(b *testing.B, rowApply bool, workers int) {
-		w := cascadeBenchWorld(b, 2000, workers, false, rowApply, "")
+	runCascade := func(b *testing.B, workers int) {
+		w := cascadeBenchWorld(b, 2000, workers)
 		b.ReportAllocs()
 		b.ResetTimer()
 		var trigNS int64
@@ -725,10 +710,7 @@ func BenchmarkE16ApplyBatch(b *testing.B) {
 	}
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("cascade/batch-w%d", workers), func(b *testing.B) {
-			runCascadeMode(b, false, workers)
-		})
-		b.Run(fmt.Sprintf("cascade/row-w%d", workers), func(b *testing.B) {
-			runCascadeMode(b, true, workers)
+			runCascade(b, workers)
 		})
 	}
 }
@@ -795,14 +777,12 @@ func BenchmarkE17ConflictPolicy(b *testing.B) {
 	}
 }
 
-// BenchmarkE21CompiledBehaviors: per-entity interpretation vs compiled
-// set-at-a-time query plans (Config.CompileBehaviors) on the two
-// tick-pipeline workloads — the E16 apply-heavy mingle crowd and the
-// E15 trigger cascade — at 1/4 workers. Both modes produce bit-identical
-// state (TestCompiledBehaviorsHashInvariantAcrossGrid pins it), so the
-// delta is pure behavior-execution cost: query-ns/op isolates the phase
-// the compiler rebuilt and coverage reports the compiled share of
-// behavior invocations (1.0 = every on_tick ran as a plan).
+// BenchmarkE21CompiledBehaviors: compiled set-at-a-time behavior
+// execution on the two tick-pipeline workloads — the E16 apply-heavy
+// mingle crowd and the E15 trigger cascade — at 1/4 workers.
+// query-ns/op isolates the phase the compiler rebuilt and coverage
+// reports the compiled share of behavior invocations (1.0 = every
+// on_tick ran as a plan).
 func BenchmarkE21CompiledBehaviors(b *testing.B) {
 	run := func(b *testing.B, w *world.World, units int) {
 		b.ReportAllocs()
@@ -829,19 +809,11 @@ func BenchmarkE21CompiledBehaviors(b *testing.B) {
 	}
 	const mingleUnits, cascadeUnits = 2500, 2000
 	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("apply-heavy/interp-w%d", workers), func(b *testing.B) {
-			run(b, applyBenchWorld(b, mingleUnits, workers, false, world.CompileOff), mingleUnits)
-		})
 		b.Run(fmt.Sprintf("apply-heavy/compiled-w%d", workers), func(b *testing.B) {
-			run(b, applyBenchWorld(b, mingleUnits, workers, false, world.CompileOn), mingleUnits)
-		})
-	}
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("cascade/interp-w%d", workers), func(b *testing.B) {
-			run(b, cascadeBenchWorld(b, cascadeUnits, workers, false, false, world.CompileOff), cascadeUnits)
+			run(b, applyBenchWorld(b, mingleUnits, workers), mingleUnits)
 		})
 		b.Run(fmt.Sprintf("cascade/compiled-w%d", workers), func(b *testing.B) {
-			run(b, cascadeBenchWorld(b, cascadeUnits, workers, false, false, world.CompileOn), cascadeUnits)
+			run(b, cascadeBenchWorld(b, cascadeUnits, workers), cascadeUnits)
 		})
 	}
 }
@@ -956,20 +928,17 @@ func BenchmarkE23WireTransport(b *testing.B) {
 }
 
 // BenchmarkE19ReplicaFanout: the two change-feed consumers. reconcile
-// compares the barrier's ghost-refresh strategies on the border crowd
-// at 4 shards — the legacy full band sweep vs the dirty-set driven
-// incremental path — with reconcile-ns/op isolating the phase the feed
-// rebuilt (TestIncrementalReconcileShipEquivalence pins both strategies
-// ship-for-ship identical, so the delta is pure evaluation cost).
+// runs the barrier's incremental ghost refresh on the border crowd at
+// 4 shards, with reconcile-ns/op isolating the phase the feed rebuilt.
 // fanout pumps the sealed feeds through the replica hub into 1k/10k
 // delta-encoded client windows and prices the outward bytes per tick.
 func BenchmarkE19ReplicaFanout(b *testing.B) {
 	const units, side = 1500, 800.0
-	newRuntime := func(b *testing.B, mode string, feed bool) *shard.Runtime {
+	newRuntime := func(b *testing.B) *shard.Runtime {
 		rt, err := shard.New(shard.Config{
 			Seed: 42, Shards: 4, World: spatial.NewRect(0, 0, side, side),
 			TickDT: 0.5, GhostBand: 20, Workers: 4, ScriptFuel: 1 << 40,
-			GhostFields: shard.BorderGhostFields(), Reconcile: mode, ChangeFeed: feed,
+			GhostFields: shard.BorderGhostFields(),
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -980,26 +949,24 @@ func BenchmarkE19ReplicaFanout(b *testing.B) {
 		}
 		return rt
 	}
-	for _, mode := range []string{shard.ReconcileFullScan, shard.ReconcileIncremental} {
-		b.Run("reconcile/"+mode, func(b *testing.B) {
-			rt := newRuntime(b, mode, false)
-			b.ReportAllocs()
-			b.ResetTimer()
-			var recNS int64
-			for i := 0; i < b.N; i++ {
-				st, err := rt.Step()
-				if err != nil {
-					b.Fatal(err)
-				}
-				recNS += st.ReconcileNS
+	b.Run("reconcile/incremental", func(b *testing.B) {
+		rt := newRuntime(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		var recNS int64
+		for i := 0; i < b.N; i++ {
+			st, err := rt.Step()
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(recNS)/float64(b.N), "reconcile-ns/op")
-			b.ReportMetric(float64(rt.GhostShipTotal.Load())/float64(b.N), "ships/tick")
-		})
-	}
+			recNS += st.ReconcileNS
+		}
+		b.ReportMetric(float64(recNS)/float64(b.N), "reconcile-ns/op")
+		b.ReportMetric(float64(rt.GhostShipTotal.Load())/float64(b.N), "ships/tick")
+	})
 	for _, clients := range []int{1000, 10000} {
 		b.Run(fmt.Sprintf("fanout/%dclients", clients), func(b *testing.B) {
-			rt := newRuntime(b, shard.ReconcileFullScan, true)
+			rt := newRuntime(b)
 			hub := replica.NewHub(replica.HubConfig{
 				Specs: []replica.FieldSpec{
 					{Name: "x", Class: replica.Coarse, Epsilon: 0.5, MaxAge: 10},

@@ -64,7 +64,7 @@ func parseShardList(s string) ([]int, error) {
 // runs under. It is the single source of scenario-forced settings —
 // the in-process race, the wire clusters and the -net worker processes
 // all call it, which is what makes their hashes comparable.
-func raceConfig(scenario string, shards, workers int, seed int64, side, band float64, rebalance int64, rowApply bool, conflict, compile, reconcile string) shard.Config {
+func raceConfig(scenario string, shards, workers int, seed int64, side, band float64, rebalance int64, conflict string) shard.Config {
 	cfg := shard.Config{
 		Seed:           seed,
 		Shards:         shards,
@@ -74,11 +74,7 @@ func raceConfig(scenario string, shards, workers int, seed int64, side, band flo
 		TickDT:         0.5,
 		GhostBand:      band,
 		RebalanceEvery: rebalance,
-		RowApply:       rowApply,
 		ConflictPolicy: conflict,
-		Reconcile:      reconcile,
-
-		CompileBehaviors: compile,
 	}
 	switch scenario {
 	case "border":
@@ -186,8 +182,8 @@ func seedScenario(g grid, scenario string, entities int, side float64, seed int6
 	return fmt.Errorf("shardsim: unknown grid type %T", g)
 }
 
-func runRace(scenario, wireMode string, shards, workers, entities, ticks int, seed int64, side, band float64, rebalance int64, rowApply bool, conflict, compile, reconcile string, ro raceObs) (raceResult, error) {
-	cfg := raceConfig(scenario, shards, workers, seed, side, band, rebalance, rowApply, conflict, compile, reconcile)
+func runRace(scenario, wireMode string, shards, workers, entities, ticks int, seed int64, side, band float64, rebalance int64, conflict string, ro raceObs) (raceResult, error) {
+	cfg := raceConfig(scenario, shards, workers, seed, side, band, rebalance, conflict)
 	cfg.Tracer = ro.tracer
 	cfg.Profile = ro.prof
 	var g grid
@@ -325,8 +321,8 @@ type netWorkerReport struct {
 // runNetWorker is one shard process of a -net grid: build the TCP mesh
 // endpoint, seed the shared scenario in lockstep, run the ticks, and
 // (worker 0 only) print the gathered world hash as JSON.
-func runNetWorker(self int, addrs []string, scenario string, entities, ticks, workers int, seed int64, side, band float64, rebalance int64, rowApply bool, conflict, compile, reconcile string) error {
-	cfg := raceConfig(scenario, len(addrs), workers, seed, side, band, rebalance, rowApply, conflict, compile, reconcile)
+func runNetWorker(self int, addrs []string, scenario string, entities, ticks, workers int, seed int64, side, band float64, rebalance int64, conflict string) error {
+	cfg := raceConfig(scenario, len(addrs), workers, seed, side, band, rebalance, conflict)
 	mesh, err := wire.NewTCPMesh(self, addrs)
 	if err != nil {
 		return err
@@ -374,8 +370,8 @@ func runNetWorker(self int, addrs []string, scenario string, entities, ticks, wo
 // runNetRace is the -net parent: run the reference in-process race,
 // then launch one OS process per shard meshed over loopback TCP, and
 // compare hashes. Exits the process on mismatch.
-func runNetRace(netShards int, scenario string, entities, ticks, workers int, seed int64, side, band float64, rebalance int64, rowApply bool, conflict, compile, reconcile string, jsonOut bool) {
-	ref, err := runRace(scenario, "", netShards, workers, entities, ticks, seed, side, band, rebalance, rowApply, conflict, compile, reconcile, raceObs{})
+func runNetRace(netShards int, scenario string, entities, ticks, workers int, seed int64, side, band float64, rebalance int64, conflict string, jsonOut bool) {
+	ref, err := runRace(scenario, "", netShards, workers, entities, ticks, seed, side, band, rebalance, conflict, raceObs{})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "shardsim: -net reference run: %v\n", err)
 		os.Exit(1)
@@ -401,10 +397,7 @@ func runNetRace(netShards int, scenario string, entities, ticks, workers int, se
 		"-side", strconv.FormatFloat(side, 'g', -1, 64),
 		"-band", strconv.FormatFloat(band, 'g', -1, 64),
 		"-rebalance", strconv.FormatInt(rebalance, 10),
-		"-row-apply=" + strconv.FormatBool(rowApply),
 		"-conflict", conflict,
-		"-compile", compile,
-		"-reconcile", reconcile,
 	}
 	start := time.Now()
 	cmds := make([]*exec.Cmd, netShards)
@@ -482,10 +475,7 @@ func main() {
 	band := flag.Float64("band", 24, "ghost border band width (negative disables ghosts)")
 	rebalance := flag.Int64("rebalance", 50, "rebalance boundaries every N ticks (0 = static)")
 	workers := flag.Int("workers", 1, "per-shard query-phase workers (hash is identical for any value)")
-	rowApply := flag.Bool("row-apply", false, "use the legacy row-at-a-time effect apply (hash is identical either way)")
 	conflict := flag.String("conflict", world.ConflictLastWrite, "conflict policy for conflicting assignments: lastwrite | occ (hash is identical across shard counts under either)")
-	compile := flag.String("compile", world.CompileOff, "behavior execution on every shard world: off (interpret) | on (compile to set-at-a-time query plans, hash identical either way)")
-	reconcile := flag.String("reconcile", shard.ReconcileIncremental, "ghost refresh at the barrier: incremental (dirty-set driven off per-tick change feeds) | fullscan (legacy band sweep; ship-for-ship and hash identical either way)")
 	wireMode := flag.String("wire", "inprocess", "barrier transport: inprocess (coordinator runtime) | pipe (wire peers on an in-process pipe mesh) | tcp (wire peers over loopback sockets); hash is identical across all three")
 	netShards := flag.Int("net", 0, "launch N separate shard PROCESSES meshed over loopback TCP and assert their hash equals the in-process run (ignores -shards/-wire)")
 	jsonOut := flag.Bool("json", false, "emit machine-readable benchmark JSON on stdout")
@@ -498,18 +488,6 @@ func main() {
 	netSelf := flag.Int("net-self", 0, "internal: this -net worker's shard index")
 	netAddrs := flag.String("net-addrs", "", "internal: comma-separated mesh addresses of the -net grid")
 	flag.Parse()
-	if *conflict != world.ConflictLastWrite && *conflict != world.ConflictOCC {
-		fmt.Fprintf(os.Stderr, "shardsim: unknown -conflict %q (want lastwrite or occ)\n", *conflict)
-		os.Exit(2)
-	}
-	if *compile != world.CompileOff && *compile != world.CompileOn {
-		fmt.Fprintf(os.Stderr, "shardsim: unknown -compile %q (want on or off)\n", *compile)
-		os.Exit(2)
-	}
-	if *reconcile != shard.ReconcileIncremental && *reconcile != shard.ReconcileFullScan {
-		fmt.Fprintf(os.Stderr, "shardsim: unknown -reconcile %q (want incremental or fullscan)\n", *reconcile)
-		os.Exit(2)
-	}
 	if *scenario != "drift" && *scenario != "border" && *scenario != "mingle" {
 		fmt.Fprintf(os.Stderr, "shardsim: unknown -scenario %q (want drift, border or mingle)\n", *scenario)
 		os.Exit(2)
@@ -521,14 +499,14 @@ func main() {
 
 	if *netWorker {
 		addrs := strings.Split(*netAddrs, ",")
-		if err := runNetWorker(*netSelf, addrs, *scenario, *entities, *ticks, *workers, *seed, *side, *band, *rebalance, *rowApply, *conflict, *compile, *reconcile); err != nil {
+		if err := runNetWorker(*netSelf, addrs, *scenario, *entities, *ticks, *workers, *seed, *side, *band, *rebalance, *conflict); err != nil {
 			fmt.Fprintf(os.Stderr, "shardsim: net worker %d: %v\n", *netSelf, err)
 			os.Exit(1)
 		}
 		return
 	}
 	if *netShards > 0 {
-		runNetRace(*netShards, *scenario, *entities, *ticks, *workers, *seed, *side, *band, *rebalance, *rowApply, *conflict, *compile, *reconcile, *jsonOut)
+		runNetRace(*netShards, *scenario, *entities, *ticks, *workers, *seed, *side, *band, *rebalance, *conflict, *jsonOut)
 		return
 	}
 
@@ -580,7 +558,7 @@ func main() {
 		if i == len(counts)-1 {
 			ro.tracer, ro.prof = tracer, prof
 		}
-		res, err := runRace(*scenario, *wireMode, n, *workers, *entities, *ticks, *seed, *side, *band, *rebalance, *rowApply, *conflict, *compile, *reconcile, ro)
+		res, err := runRace(*scenario, *wireMode, n, *workers, *entities, *ticks, *seed, *side, *band, *rebalance, *conflict, ro)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "shardsim: %d shards: %v\n", n, err)
 			os.Exit(1)
@@ -602,7 +580,6 @@ func main() {
 				"workers":               *workers,
 				"wire":                  *wireMode,
 				"conflict_policy":       *conflict,
-				"compile_behaviors":     *compile,
 				"compiled_calls":        res.compiledCalls,
 				"script_calls":          res.scriptCalls,
 				"ticks_per_sec":         res.ticksPerSec,
@@ -610,7 +587,6 @@ func main() {
 				"ghosts":                res.ghosts,
 				"ghost_ships":           res.ghostShips,
 				"ghost_field_skips":     res.ghostSkips,
-				"reconcile":             *reconcile,
 				"reconcile_ns_per_tick": float64(res.reconcileNS) / float64(*ticks),
 				"feed_cells":            res.feedCells,
 				"effects_forwarded":     res.forwarded,

@@ -36,7 +36,7 @@ fn on_tick(self) {
 func main() {
 	// An engine with event-keyed ("intelligent") checkpointing.
 	eng, err := gamedb.New(gamedb.Options{
-		Seed:       7,
+		World:      gamedb.WorldConfig{Seed: 7},
 		Checkpoint: gamedb.EventKeyed{MaxTicks: 500},
 	})
 	if err != nil {

@@ -11,13 +11,13 @@
 // under per-field consistency tiers, and checkpoints intelligently on
 // important events rather than on a timer. The tick itself follows the
 // paper's state-effect pattern: behaviors run as read-only queries over
-// the frozen tick-start state on Options.Workers goroutines, emitting
+// the frozen tick-start state on WorldConfig.Workers goroutines, emitting
 // typed effects that merge and apply deterministically — the same seed
 // produces the same world at any parallelism.
 //
 // Quick start:
 //
-//	eng, err := gamedb.New(gamedb.Options{Seed: 42})
+//	eng, err := gamedb.New(gamedb.Options{World: gamedb.WorldConfig{Seed: 42}})
 //	if err != nil { ... }
 //	if err := eng.LoadPackXML(packFile); err != nil { ... }
 //	for i := 0; i < 1000; i++ {
@@ -44,6 +44,10 @@ type Engine = core.Engine
 
 // Options configures New.
 type Options = core.Options
+
+// WorldConfig parameterizes the world inside an Engine (Options.World):
+// seed, sizes, script fuel, workers, conflict policy and profiler.
+type WorldConfig = world.Config
 
 // ShardedEngine is a world partitioned into N region shards, ticking
 // in parallel on the process-wide worker pool under a tick-barrier
@@ -100,16 +104,6 @@ const (
 	Cosmetic = replica.Cosmetic
 )
 
-// Compiled-behavior modes for Options.CompileBehaviors /
-// ShardedOptions.CompileBehaviors: CompileOn lowers compilable behavior
-// scripts onto set-at-a-time query plans at pack load (non-compilable
-// bodies fall back to the interpreter per entity), CompileOff (and "")
-// interprets everything. World state is bit-identical either way.
-const (
-	CompileOn  = world.CompileOn
-	CompileOff = world.CompileOff
-)
-
 // Checkpoint policies for Options.Checkpoint.
 type (
 	// Periodic checkpoints on a fixed tick interval.
@@ -123,7 +117,7 @@ type (
 // ShardedOptions.Tracer; export with WriteChromeTrace or
 // WriteSlowestTimeline. Profiler attributes interpreter time, effects,
 // reads, conflicts, retries and aborts per behavior / trigger rule for
-// Options.Profile / ShardedOptions.Profile. Both are inert with respect
+// WorldConfig.Profile / ShardedOptions.Profile. Both are inert with respect
 // to world state (the grid tests pin it).
 type (
 	Tracer   = obs.Tracer

@@ -158,7 +158,7 @@ type Compiled struct {
 	// accumulation in trigger bodies (last-write-wins under the
 	// effect-aware trigger drain), and behavior scripts whose on_tick
 	// cannot lower onto a set-at-a-time query plan (they stay on the
-	// per-entity interpreter when CompileBehaviors is on).
+	// per-entity interpreter).
 	Warnings []Warning
 }
 

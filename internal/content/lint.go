@@ -43,8 +43,8 @@ func (w Warning) String() string {
 // lintScript checks whether a behavior script's on_tick lowers onto a
 // set-at-a-time query plan and, when it does not, names the first
 // non-compilable construct. Purely advisory: the interpreter runs every
-// body, compiled or not, but a world with CompileBehaviors on will run
-// this script per-entity — authors chasing tick time want to know.
+// body, compiled or not, but a world will run this script per-entity
+// instead of as a plan — authors chasing tick time want to know.
 func lintScript(cs *CompiledScript) []Warning {
 	if cs.Prog.Fns[gslplan.EntryFn] == nil {
 		return nil

@@ -13,7 +13,6 @@ import (
 	"gamedb/internal/obs"
 	"gamedb/internal/persist"
 	"gamedb/internal/replica"
-	"gamedb/internal/sched"
 	"gamedb/internal/spatial"
 	"gamedb/internal/world"
 )
@@ -21,47 +20,13 @@ import (
 // Options configures an Engine. The zero value is usable: a world with
 // default sizes, no persistence, no replication.
 type Options struct {
-	// Seed drives all engine randomness.
-	Seed int64
-	// CellSize is the spatial index cell size.
-	CellSize float64
-	// ScriptFuel bounds one behavior invocation's interpretation work
-	// (per entity per tick; see world.Config.ScriptFuel).
-	ScriptFuel int64
-	// TickDT is simulated seconds per tick.
-	TickDT float64
-	// Workers fans the tick's query phase (behaviors + physics) and its
-	// trigger rounds across that many goroutines (default 1); world
-	// state is identical for any value.
-	Workers int
-	// DirectTriggers selects the legacy single-threaded direct-write
-	// trigger drain instead of the effect-aware round drain (see
-	// world.Config.DirectTriggers).
-	DirectTriggers bool
-	// RowApply selects the legacy row-at-a-time effect apply instead of
-	// the columnar batch apply (see world.Config.RowApply; both produce
-	// bit-identical state).
-	RowApply bool
-	// Pool overrides the worker pool tick-parallel phases run on
-	// (default: the process-wide sched.Shared() pool).
-	Pool *sched.Pool
-	// ConflictPolicy selects how conflicting assignments resolve in the
-	// apply phase: world.ConflictLastWrite (default) or world.ConflictOCC
-	// (serializable re-runs via read-set validation; see world.Config).
-	ConflictPolicy string
-	// EffectRetryCap bounds OCC re-run rounds (see world.Config).
-	EffectRetryCap int
-	// CompileBehaviors selects set-at-a-time compiled behavior execution:
-	// world.CompileOn compiles behavior scripts onto query plans at load
-	// (per-entity interpreter fallback for non-compilable bodies); "" or
-	// world.CompileOff interprets everything. Bit-identical either way.
-	CompileBehaviors string
-	// Tracer records span-based tick traces (nil = off); the engine's
-	// world records onto the tracer's shard-0 context. Profile is the
-	// per-behavior / per-rule profiler (nil = off). Both are inert with
-	// respect to world state (see world.Config.Trace / Profile).
-	Tracer  *obs.Tracer
-	Profile *obs.Profiler
+	// World configures the engine's world: seed, sizes, fuel, workers,
+	// pool, conflict policy, profiler and change feed (see world.Config).
+	World world.Config
+	// Tracer, when set, records span-based tick traces: the engine's
+	// world records onto its shard-0 context in place of World.Trace.
+	// Tracing is inert with respect to world state.
+	Tracer *obs.Tracer
 
 	// Checkpoint enables snapshot persistence with the given policy
 	// (persist.Periodic or persist.EventKeyed). Nil disables it.
@@ -98,24 +63,14 @@ type Engine struct {
 
 // New builds an engine.
 func New(opts Options) (*Engine, error) {
-	e := &Engine{
-		World: world.New(world.Config{
-			Seed:           opts.Seed,
-			CellSize:       opts.CellSize,
-			ScriptFuel:     opts.ScriptFuel,
-			TickDT:         opts.TickDT,
-			Workers:        opts.Workers,
-			DirectTriggers: opts.DirectTriggers,
-			RowApply:       opts.RowApply,
-			Pool:           opts.Pool,
-			ConflictPolicy: opts.ConflictPolicy,
-			EffectRetryCap: opts.EffectRetryCap,
-			Trace:          opts.Tracer.Context(0),
-			Profile:        opts.Profile,
-
-			CompileBehaviors: opts.CompileBehaviors,
-		}),
+	if err := world.CheckConflictPolicy(opts.World.ConflictPolicy); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
+	wcfg := opts.World
+	if opts.Tracer != nil {
+		wcfg.Trace = opts.Tracer.Context(0)
+	}
+	e := &Engine{World: world.New(wcfg)}
 	if opts.Checkpoint != nil {
 		e.policy = opts.Checkpoint
 		e.Backing = &persist.Backing{}
@@ -123,8 +78,8 @@ func New(opts Options) (*Engine, error) {
 	if len(opts.ReplicaFields) > 0 {
 		cell := opts.AOICell
 		if cell <= 0 {
-			if opts.CellSize > 0 {
-				cell = 4 * opts.CellSize
+			if opts.World.CellSize > 0 {
+				cell = 4 * opts.World.CellSize
 			} else {
 				cell = 64
 			}

@@ -8,6 +8,7 @@ import (
 	"gamedb/internal/persist"
 	"gamedb/internal/replica"
 	"gamedb/internal/spatial"
+	"gamedb/internal/world"
 )
 
 const packXML = `
@@ -24,7 +25,7 @@ const packXML = `
 </contentpack>`
 
 func TestEngineLifecycle(t *testing.T) {
-	e, err := New(Options{Seed: 1})
+	e, err := New(Options{World: world.Config{Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestLoadPackXMLAggregatesErrors(t *testing.T) {
 }
 
 func TestPeriodicCheckpointingAndRecovery(t *testing.T) {
-	e, err := New(Options{Seed: 1, Checkpoint: persist.Periodic{EveryTicks: 10}})
+	e, err := New(Options{World: world.Config{Seed: 1}, Checkpoint: persist.Periodic{EveryTicks: 10}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func TestPeriodicCheckpointingAndRecovery(t *testing.T) {
 }
 
 func TestEventKeyedCheckpointOnImportant(t *testing.T) {
-	e, err := New(Options{Seed: 1, Checkpoint: persist.EventKeyed{MaxTicks: 1000}})
+	e, err := New(Options{World: world.Config{Seed: 1}, Checkpoint: persist.EventKeyed{MaxTicks: 1000}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func TestEventKeyedCheckpointOnImportant(t *testing.T) {
 
 func TestReplicationIntegration(t *testing.T) {
 	e, err := New(Options{
-		Seed: 1,
+		World: world.Config{Seed: 1},
 		ReplicaFields: []replica.FieldSpec{
 			{Name: "hp", Class: replica.Exact},
 			{Name: "x", Class: replica.Coarse, Epsilon: 5, MaxAge: 100},
@@ -169,5 +170,12 @@ func TestReplicationIntegration(t *testing.T) {
 func TestReplicaValidationFailure(t *testing.T) {
 	if _, err := New(Options{ReplicaFields: []replica.FieldSpec{{Name: ""}}}); err == nil {
 		t.Fatal("bad replica spec should fail")
+	}
+}
+
+func TestNewRejectsUnknownConflictPolicy(t *testing.T) {
+	_, err := New(Options{World: world.Config{ConflictPolicy: "OCC"}})
+	if err == nil || !strings.Contains(err.Error(), `"OCC"`) {
+		t.Fatalf("New with conflict policy \"OCC\": err = %v, want one naming the value", err)
 	}
 }

@@ -6,80 +6,14 @@ import (
 
 	"gamedb/internal/content"
 	"gamedb/internal/entity"
-	"gamedb/internal/obs"
-	"gamedb/internal/replica"
-	"gamedb/internal/sched"
 	"gamedb/internal/shard"
 	"gamedb/internal/spatial"
 	"gamedb/internal/world"
 )
 
-// ShardedOptions configures OpenSharded. World and Shards are required;
-// everything else defaults like Options.
-type ShardedOptions struct {
-	// Seed drives all randomness, reproducibly across shard counts.
-	Seed int64
-	// Shards is the number of region shards.
-	Shards int
-	// World is the map rectangle partitioned across shards.
-	World spatial.Rect
-
-	// CellSize, ScriptFuel and TickDT configure each shard's world.
-	CellSize   float64
-	ScriptFuel int64
-	TickDT     float64
-	// Workers fans each shard's query phase and trigger rounds across
-	// that many goroutines per tick (default 1): total parallelism is
-	// Shards × Workers, and the world hash stays identical for any
-	// combination.
-	Workers int
-	// DirectTriggers selects the legacy single-threaded direct-write
-	// trigger drain on every shard world.
-	DirectTriggers bool
-	// RowApply selects the legacy row-at-a-time effect apply on every
-	// shard world instead of the columnar batch apply.
-	RowApply bool
-	// Pool overrides the worker pool shard ticks and world phases run
-	// on (default: the process-wide sched.Shared() pool).
-	Pool *sched.Pool
-	// ConflictPolicy selects the apply phase's conflict resolution on
-	// every shard world: world.ConflictLastWrite (default) or
-	// world.ConflictOCC (serializable re-runs via read-set validation).
-	ConflictPolicy string
-	// EffectRetryCap bounds OCC re-run rounds (see world.Config).
-	EffectRetryCap int
-	// CompileBehaviors selects set-at-a-time compiled behavior execution
-	// on every shard world (world.CompileOn / world.CompileOff; see
-	// world.Config.CompileBehaviors). Bit-identical either way.
-	CompileBehaviors string
-	// Tracer records span-based tick traces across all shards plus the
-	// coordinator barrier (nil = off); Profile is the per-behavior /
-	// per-rule profiler shared by every shard world (nil = off). See
-	// shard.Config.Tracer / Profile.
-	Tracer  *obs.Tracer
-	Profile *obs.Profiler
-
-	// GhostBand is the mirrored border width (≥ the interaction range;
-	// 0 = default 2×CellSize, negative disables ghosts); GhostFields
-	// optionally overrides the consistency specs for ghost refresh
-	// (default: x/y as Coarse).
-	GhostBand   float64
-	GhostFields []replica.FieldSpec
-
-	// RebalanceEvery enables load-driven boundary rebalancing every
-	// that many ticks (0 = static partition).
-	RebalanceEvery int64
-
-	// Reconcile selects the ghost-refresh strategy at the tick barrier:
-	// shard.ReconcileIncremental (default — dirty-set driven off each
-	// world's change feed) or shard.ReconcileFullScan (the legacy
-	// per-field band sweep). Ship-for-ship identical either way.
-	Reconcile string
-	// ChangeFeed forces per-tick change-feed recording on every shard
-	// world even under full-scan reconcile, for external consumers such
-	// as the replica fan-out hub.
-	ChangeFeed bool
-}
+// ShardedOptions configures NewSharded: a shard.Config, whose World
+// rect must have positive area.
+type ShardedOptions = shard.Config
 
 // ShardedEngine is a sharded world runtime behind the same content and
 // tick surface as Engine: one world partitioned into region shards,
@@ -93,29 +27,7 @@ func NewSharded(opts ShardedOptions) (*ShardedEngine, error) {
 	if opts.World.Width() <= 0 || opts.World.Height() <= 0 {
 		return nil, fmt.Errorf("core: sharded engine needs a world rect with positive area")
 	}
-	rt, err := shard.New(shard.Config{
-		Seed:           opts.Seed,
-		Shards:         opts.Shards,
-		World:          opts.World,
-		CellSize:       opts.CellSize,
-		ScriptFuel:     opts.ScriptFuel,
-		TickDT:         opts.TickDT,
-		Workers:        opts.Workers,
-		DirectTriggers: opts.DirectTriggers,
-		RowApply:       opts.RowApply,
-		Pool:           opts.Pool,
-		ConflictPolicy: opts.ConflictPolicy,
-		EffectRetryCap: opts.EffectRetryCap,
-		Tracer:         opts.Tracer,
-		Profile:        opts.Profile,
-		GhostBand:      opts.GhostBand,
-		GhostFields:    opts.GhostFields,
-		RebalanceEvery: opts.RebalanceEvery,
-		Reconcile:      opts.Reconcile,
-		ChangeFeed:     opts.ChangeFeed,
-
-		CompileBehaviors: opts.CompileBehaviors,
-	})
+	rt, err := shard.New(opts)
 	if err != nil {
 		return nil, err
 	}

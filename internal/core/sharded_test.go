@@ -132,4 +132,10 @@ func TestShardedRejectsBadOptions(t *testing.T) {
 		t.Fatalf("Shards() = %d, want 1", e.Runtime.Shards())
 	}
 	e.Close()
+	_, err = NewSharded(ShardedOptions{
+		Shards: 2, World: spatial.NewRect(0, 0, 10, 10), ConflictPolicy: "serializable",
+	})
+	if err == nil || !strings.Contains(err.Error(), `"serializable"`) {
+		t.Fatalf("conflict policy \"serializable\": err = %v, want one naming the value", err)
+	}
 }

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -14,12 +15,11 @@ import (
 // E19ChangeFeedReplication measures the two consumers of the per-tick
 // change feed.
 //
-// Reconcile rows: the border crowd at 1/2/4 shards under the legacy
-// full band sweep (every ghost × every field, every barrier) vs the
-// dirty-set-driven incremental path (feed candidates plus the due-tick
-// index). Identical hashes down each shard row are the exactness claim;
-// the reconcile/tick column is the perf claim — the incremental path
-// prices evaluation at O(dirty + due) instead of O(band × fields).
+// Reconcile rows: the border crowd at 1/2/4 shards under the
+// dirty-set-driven incremental ghost refresh (feed candidates plus the
+// due-tick index), which prices evaluation at O(dirty + due) instead of
+// the full scan's O(band × fields). The border crowd mirrors every read
+// field Exactly, so the hash column agrees across shard counts.
 //
 // Fan-out rows: the same feed pumped into the replica hub and fanned to
 // 1k/10k/100k synthetic clients with per-client interest windows, delta
@@ -28,86 +28,68 @@ import (
 func E19ChangeFeedReplication(quick bool) *metrics.Table {
 	t := metrics.NewTable("E19 — change-feed replication: incremental ghost refresh + client fan-out",
 		"phase", "config", "tick", "reconcile p50", "ships/tick", "bytes/tick", "stale p50/p99", "hash")
-	t.Note = "reconcile: identical hashes per shard count = feed-driven refresh is exact; reconcile p50 is the median over ticks of the element-wise minimum across alternating repetitions per mode (same seed => identical per-tick workload, so the per-tick min strips scheduler noise on shared hosts; mass-snapshot barriers cost both strategies the same and would mask the steady-state gap); fan-out: bytes/tick grows sublinearly in clients (interest windows)"
+	t.Note = "reconcile: reconcile p50 is the median over ticks of the element-wise minimum across repetitions (same seed => identical per-tick workload, so the per-tick min strips scheduler noise on shared hosts); fan-out: bytes/tick grows sublinearly in clients (interest windows)"
 
 	units := pick(quick, 300, 1500)
 	side := pick(quick, 400.0, 800.0)
 	ticks := pick(quick, 12, 60)
 	reps := pick(quick, 1, 5)
-	modes := []string{shard.ReconcileFullScan, shard.ReconcileIncremental}
 	for _, shards := range []int{1, 2, 4} {
-		type modeRun struct {
+		var (
 			minNS  []float64 // element-wise min across reps, per tick
 			wallNS float64   // fastest rep's wall time for the tick loop
 			hash   uint64
 			ships  int64
-		}
-		runs := map[string]*modeRun{}
-		// Alternate modes within each rep so slow stretches of the host
-		// (GC on a neighbor tenant, scheduler churn) hit both modes
-		// equally rather than biasing whichever ran during the stretch.
+		)
 		for rep := 0; rep < reps; rep++ {
-			for _, mode := range modes {
-				rt, err := shard.New(shard.Config{
-					Seed: 42, Shards: shards, World: spatial.NewRect(0, 0, side, side),
-					TickDT: 0.5, GhostBand: 20, Workers: 4, ScriptFuel: 1 << 40,
-					GhostFields: shard.BorderGhostFields(), Reconcile: mode,
-				})
-				if err != nil {
-					panic(fmt.Sprintf("E19: %v", err))
-				}
-				if err := shard.SeedBorderCrowd(rt, units, side, 7, 6); err != nil {
-					panic(fmt.Sprintf("E19: %v", err))
-				}
-				recNS := make([]float64, 0, ticks)
-				elapsed := timeOp(func() {
-					for i := 0; i < ticks; i++ {
-						st, err := rt.Step()
-						if err != nil {
-							panic(fmt.Sprintf("E19: tick %d: %v", i, err))
-						}
-						recNS = append(recNS, float64(st.ReconcileNS))
-					}
-				})
-				hash := rt.Hash()
-				ships := rt.GhostShipTotal.Load()
-				rt.Close()
-				mr := runs[mode]
-				if mr == nil {
-					runs[mode] = &modeRun{
-						minNS: recNS, wallNS: float64(elapsed.Nanoseconds()),
-						hash: hash, ships: ships,
-					}
-					continue
-				}
-				if hash != mr.hash || ships != mr.ships {
-					panic(fmt.Sprintf("E19: %s/%dsh rep %d diverged: hash %016x vs %016x, ships %d vs %d",
-						mode, shards, rep, hash, mr.hash, ships, mr.ships))
-				}
-				for i, ns := range recNS {
-					if ns < mr.minNS[i] {
-						mr.minNS[i] = ns
-					}
-				}
-				if w := float64(elapsed.Nanoseconds()); w < mr.wallNS {
-					mr.wallNS = w
-				}
+			rt, err := shard.New(shard.Config{
+				Seed: 42, Shards: shards, World: spatial.NewRect(0, 0, side, side),
+				TickDT: 0.5, GhostBand: 20, Workers: 4, ScriptFuel: 1 << 40,
+				GhostFields: shard.BorderGhostFields(),
+			})
+			if err != nil {
+				panic(fmt.Sprintf("E19: %v", err))
 			}
+			if err := shard.SeedBorderCrowd(rt, units, side, 7, 6); err != nil {
+				panic(fmt.Sprintf("E19: %v", err))
+			}
+			recNS := make([]float64, 0, ticks)
+			elapsed := timeOp(func() {
+				for i := 0; i < ticks; i++ {
+					st, err := rt.Step()
+					if err != nil {
+						panic(fmt.Sprintf("E19: tick %d: %v", i, err))
+					}
+					recNS = append(recNS, float64(st.ReconcileNS))
+				}
+			})
+			h, s := rt.Hash(), rt.GhostShipTotal.Load()
+			rt.Close()
+			wall := float64(elapsed.Nanoseconds())
+			if rep == 0 {
+				minNS, wallNS, hash, ships = recNS, wall, h, s
+				continue
+			}
+			if h != hash || s != ships {
+				panic(fmt.Sprintf("E19: %dsh rep %d diverged: hash %016x vs %016x, ships %d vs %d",
+					shards, rep, h, hash, s, ships))
+			}
+			for i, ns := range recNS {
+				minNS[i] = math.Min(minNS[i], ns)
+			}
+			wallNS = math.Min(wallNS, wall)
 		}
-		for _, mode := range modes {
-			mr := runs[mode]
-			sort.Float64s(mr.minNS)
-			t.AddRow(
-				"reconcile",
-				fmt.Sprintf("%s/%dsh", mode, shards),
-				metrics.Fdur(mr.wallNS/float64(ticks)),
-				metrics.Fdur(mr.minNS[len(mr.minNS)/2]),
-				metrics.Fnum(float64(mr.ships)/float64(ticks)),
-				"—",
-				"—",
-				fmt.Sprintf("%016x", mr.hash),
-			)
-		}
+		sort.Float64s(minNS)
+		t.AddRow(
+			"reconcile",
+			fmt.Sprintf("%dsh", shards),
+			metrics.Fdur(wallNS/float64(ticks)),
+			metrics.Fdur(minNS[len(minNS)/2]),
+			metrics.Fnum(float64(ships)/float64(ticks)),
+			"—",
+			"—",
+			fmt.Sprintf("%016x", hash),
+		)
 	}
 
 	clientScales := pick(quick, []int{200, 1000}, []int{1000, 10000, 100000})

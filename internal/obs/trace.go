@@ -40,7 +40,7 @@ const (
 	SpanForward     = "forward"
 	SpanRemoteMerge = "remote-merge"
 	// SpanReconcile is the barrier's ghost-refresh phase (dirty-set
-	// driven or full-scan, per shard.Config.Reconcile); SpanFanout is
+	// driven, or the full-scan fallback); SpanFanout is
 	// the replica hub's per-tick client fan-out (outside the barrier).
 	SpanReconcile = "reconcile"
 	SpanFanout    = "fanout"

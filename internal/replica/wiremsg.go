@@ -1,6 +1,8 @@
 package replica
 
 import (
+	"math"
+
 	"gamedb/internal/wire"
 )
 
@@ -37,7 +39,11 @@ func DecodeUpdateMsg(d *wire.Dec) UpdateMsg {
 		d.Fail("update tag")
 		return UpdateMsg{}
 	}
-	return UpdateMsg{ID: ID(d.Uvarint()), Field: int32(d.Uvarint()), Val: d.F64()}
+	id, fi := ID(d.Uvarint()), d.Uvarint()
+	if fi > math.MaxInt32 {
+		d.Fail("update field")
+	}
+	return UpdateMsg{ID: id, Field: int32(fi), Val: d.F64()}
 }
 
 // AppendRemoveMsg encodes one entity-removal message: tag, entity id.

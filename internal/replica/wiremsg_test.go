@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"bytes"
 	"testing"
 
 	"gamedb/internal/spatial"
@@ -143,4 +144,54 @@ func TestHubWireSizingCoverDiff(t *testing.T) {
 	if big <= small {
 		t.Fatalf("varint id did not grow the wire-sized snapshot: id=3 → %d bytes, id=2^40 → %d", small, big)
 	}
+}
+
+// checkReencodes is the decoder fuzz property: a payload either fails
+// to decode or re-encodes to exactly the bytes the decode consumed.
+func checkReencodes(t *testing.T, data []byte, d *wire.Dec, encode func(e *wire.Enc)) {
+	t.Helper()
+	if d.Err() != nil {
+		return
+	}
+	var e wire.Enc
+	encode(&e)
+	if consumed := data[:len(data)-d.Remaining()]; !bytes.Equal(e.Bytes(), consumed) {
+		t.Fatalf("decoded payload re-encodes to %x, consumed %x", e.Bytes(), consumed)
+	}
+}
+
+func FuzzDecodeUpdateMsg(f *testing.F) {
+	var e wire.Enc
+	AppendUpdateMsg(&e, 300, 7, -2.5)
+	f.Add(e.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d := wire.NewDec(data, nil)
+		m := DecodeUpdateMsg(d)
+		checkReencodes(t, data, d, func(e *wire.Enc) { AppendUpdateMsg(e, m.ID, m.Field, m.Val) })
+	})
+}
+
+func FuzzDecodeRemoveMsg(f *testing.F) {
+	var e wire.Enc
+	AppendRemoveMsg(&e, 1<<40)
+	f.Add(e.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d := wire.NewDec(data, nil)
+		id := DecodeRemoveMsg(d)
+		checkReencodes(t, data, d, func(e *wire.Enc) { AppendRemoveMsg(e, id) })
+	})
+}
+
+func FuzzDecodeSnapshotMsg(f *testing.F) {
+	var e wire.Enc
+	AppendSnapshotMsg(&e, 42, []float64{1, -2, 3.75, 0})
+	f.Add(append([]byte(nil), e.Bytes()...))
+	e.Reset()
+	AppendSnapshotMsg(&e, 7, nil)
+	f.Add(append([]byte(nil), e.Bytes()...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d := wire.NewDec(data, nil)
+		id, vals := DecodeSnapshotMsg(d, nil)
+		checkReencodes(t, data, d, func(e *wire.Enc) { AppendSnapshotMsg(e, id, vals) })
+	})
 }

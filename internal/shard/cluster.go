@@ -23,7 +23,10 @@ type Cluster struct {
 // NewPipeCluster builds a cfg.Shards-peer cluster over the in-process
 // pipe transport (one channel mesh, zero sockets).
 func NewPipeCluster(cfg Config) (*Cluster, error) {
-	cfg = withDefaults(cfg)
+	cfg, err := withDefaults(cfg)
+	if err != nil {
+		return nil, err
+	}
 	pipes := wire.NewPipeGroup(cfg.Shards)
 	trs := make([]wire.Transport, len(pipes))
 	for i, p := range pipes {
@@ -36,7 +39,10 @@ func NewPipeCluster(cfg Config) (*Cluster, error) {
 // every barrier frame crosses a real socket, pricing the full network
 // path while staying a one-process test subject.
 func NewTCPCluster(cfg Config) (*Cluster, error) {
-	cfg = withDefaults(cfg)
+	cfg, err := withDefaults(cfg)
+	if err != nil {
+		return nil, err
+	}
 	meshes, err := wire.NewTCPLoopbackGroup(cfg.Shards)
 	if err != nil {
 		return nil, err

@@ -1,9 +1,11 @@
 package shard
 
 import (
+	"strings"
 	"testing"
 
 	"gamedb/internal/spatial"
+	"gamedb/internal/wire"
 )
 
 // clusterCfg is the shared config of every wire-vs-in-process race in
@@ -201,4 +203,26 @@ func TestExchangeScratchReuse(t *testing.T) {
 	if &rt.dstsBuf[:1][0] != dsts || &rt.countsBuf[:1][0] != counts {
 		t.Fatal("exchange scratch reallocated across barriers — per-tick garbage crept back in")
 	}
+}
+
+// TestConstructorsRejectUnknownConflictPolicy: a misspelled policy must
+// fail loudly at construction, naming the value, instead of running
+// last-write.
+func TestConstructorsRejectUnknownConflictPolicy(t *testing.T) {
+	cfg := Config{Shards: 2, World: spatial.NewRect(0, 0, 100, 100), ConflictPolicy: "OCC"}
+	check := func(name string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), `"OCC"`) {
+			t.Fatalf("%s: err = %v, want one naming \"OCC\"", name, err)
+		}
+	}
+	_, err := New(cfg)
+	check("New", err)
+	pipes := wire.NewPipeGroup(2)
+	_, err = NewPeer(cfg, pipes[0])
+	check("NewPeer", err)
+	_, err = NewPipeCluster(cfg)
+	check("NewPipeCluster", err)
+	_, err = NewTCPCluster(cfg)
+	check("NewTCPCluster", err)
 }

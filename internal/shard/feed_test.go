@@ -15,22 +15,39 @@ import (
 	"gamedb/internal/spatial"
 )
 
+// The two ghost-refresh strategies the feed tests race: the production
+// incremental path and the full-scan reference (Runtime.refFullScan).
+const (
+	incremental = "incremental"
+	fullScan    = "fullscan"
+)
+
+// newReconcileRuntime builds a runtime whose barrier refreshes ghosts
+// under the given strategy.
+func newReconcileRuntime(t *testing.T, cfg Config, reconcile string) *Runtime {
+	t.Helper()
+	rt, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	rt.refFullScan = reconcile == fullScan
+	return rt
+}
+
 // feedRun drives one scenario under one reconcile mode and returns the
 // final hash.
 func feedRun(t *testing.T, scenario, reconcile string, shards, workers int) uint64 {
 	t.Helper()
 	cfg := Config{
 		Seed: 7, Shards: shards, World: spatial.NewRect(0, 0, 400, 400),
-		TickDT: 0.5, GhostBand: 20, Workers: workers, Reconcile: reconcile,
+		TickDT: 0.5, GhostBand: 20, Workers: workers,
 	}
 	if scenario == "border" {
 		cfg.GhostFields = BorderGhostFields()
 	}
-	rt, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(rt.Close)
+	rt := newReconcileRuntime(t, cfg, reconcile)
+	var err error
 	if scenario == "border" {
 		err = SeedBorderCrowd(rt, 240, 400, 77, 6)
 	} else {
@@ -50,19 +67,19 @@ func feedRun(t *testing.T, scenario, reconcile string, shards, workers int) uint
 
 // TestFeedReconcileHashInvariantAcrossGrid pins the tentpole inertness
 // claim: at every scenario × shards × workers grid point, switching the
-// ghost refresh from the legacy full band sweep to the dirty-set-driven
+// ghost refresh from the full-scan reference to the dirty-set-driven
 // incremental path must not move the world hash. The feed is an index,
 // never an input. Border (all-Exact ghost fields) additionally stays on
 // the single-shard hash at every shard count; mingle's default Coarse
 // mirrors are deliberately shard-count-dependent (the paper's weakened
 // consistency), so there only the mode equivalence is asserted.
 func TestFeedReconcileHashInvariantAcrossGrid(t *testing.T) {
-	borderBase := feedRun(t, "border", ReconcileFullScan, 1, 1)
+	borderBase := feedRun(t, "border", fullScan, 1, 1)
 	for _, scenario := range []string{"border", "mingle"} {
 		for _, workers := range []int{1, 4} {
 			for _, shards := range []int{1, 2, 4} {
-				full := feedRun(t, scenario, ReconcileFullScan, shards, workers)
-				inc := feedRun(t, scenario, ReconcileIncremental, shards, workers)
+				full := feedRun(t, scenario, fullScan, shards, workers)
+				inc := feedRun(t, scenario, incremental, shards, workers)
 				if inc != full {
 					t.Fatalf("%s: incremental hash diverged from fullscan at shards=%d workers=%d: %x vs %x",
 						scenario, shards, workers, inc, full)
@@ -104,15 +121,11 @@ func equivSpecs() []replica.FieldSpec {
 // ship/snapshot counts, and the final hash.
 func shipLog(t *testing.T, reconcile string) (log []shipEvt, counts [][2]int, hash uint64) {
 	t.Helper()
-	rt, err := New(Config{
+	rt := newReconcileRuntime(t, Config{
 		Seed: 7, Shards: 4, World: spatial.NewRect(0, 0, 400, 400),
 		TickDT: 0.5, GhostBand: 20, Workers: 2,
-		GhostFields: equivSpecs(), Reconcile: reconcile,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(rt.Close)
+		GhostFields: equivSpecs(),
+	}, reconcile)
 	rt.onShip = func(di int, id entity.ID, fi int) {
 		log = append(log, shipEvt{tick: rt.Tick(), di: di, id: id, fi: fi})
 	}
@@ -138,8 +151,8 @@ func shipLog(t *testing.T, reconcile string) (log []shipEvt, counts [][2]int, ha
 // load-bearing: drop the due index and declined-but-diverged values
 // never surface, which this test catches as a missing log entry.
 func TestIncrementalReconcileShipEquivalence(t *testing.T) {
-	fullLog, fullCounts, fullHash := shipLog(t, ReconcileFullScan)
-	incLog, incCounts, incHash := shipLog(t, ReconcileIncremental)
+	fullLog, fullCounts, fullHash := shipLog(t, fullScan)
+	incLog, incCounts, incHash := shipLog(t, incremental)
 	if len(fullLog) == 0 {
 		t.Fatal("full scan performed no ghost ships — scenario not exercising the band")
 	}
@@ -165,19 +178,15 @@ func TestIncrementalReconcileShipEquivalence(t *testing.T) {
 // Coarse (unshippable — no numeric distance).
 func nonNumericWorld(t *testing.T, reconcile string) (*Runtime, entity.ID) {
 	t.Helper()
-	rt, err := New(Config{
+	rt := newReconcileRuntime(t, Config{
 		Seed: 3, Shards: 2, World: spatial.NewRect(0, 0, 200, 100),
-		CellSize: 16, TickDT: 0.5, GhostBand: 40, Reconcile: reconcile,
+		CellSize: 16, TickDT: 0.5, GhostBand: 40,
 		GhostFields: []replica.FieldSpec{
 			{Name: "x", Class: replica.Coarse, Epsilon: 0.1, MaxAge: 5},
 			{Name: "label", Class: replica.Exact},
 			{Name: "mood", Class: replica.Coarse, Epsilon: 1},
 		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(rt.Close)
+	}, reconcile)
 	schema := entity.MustSchema(
 		entity.Column{Name: "x", Kind: entity.KindFloat},
 		entity.Column{Name: "y", Kind: entity.KindFloat},
@@ -208,7 +217,7 @@ func nonNumericWorld(t *testing.T, reconcile string) (*Runtime, entity.ID) {
 // to compare against an epsilon) count into GhostFieldSkips rather
 // than wedging or clobbering. Runs under both reconcile modes.
 func TestNonNumericGhostFieldShips(t *testing.T) {
-	for _, reconcile := range []string{ReconcileIncremental, ReconcileFullScan} {
+	for _, reconcile := range []string{incremental, fullScan} {
 		rt, id := nonNumericWorld(t, reconcile)
 		w0, w1 := rt.ShardWorld(0), rt.ShardWorld(1)
 		if !w1.IsGhost(id) {
@@ -256,15 +265,11 @@ func TestNonNumericGhostFieldShips(t *testing.T) {
 // produces across the same perturbation.
 func TestReconcileRestoreTaintFallback(t *testing.T) {
 	run := func(reconcile string) uint64 {
-		rt, err := New(Config{
+		rt := newReconcileRuntime(t, Config{
 			Seed: 7, Shards: 4, World: spatial.NewRect(0, 0, 400, 400),
 			TickDT: 0.5, GhostBand: 20, Workers: 2,
-			GhostFields: BorderGhostFields(), Reconcile: reconcile,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(rt.Close)
+			GhostFields: BorderGhostFields(),
+		}, reconcile)
 		if err := SeedBorderCrowd(rt, 160, 400, 77, 6); err != nil {
 			t.Fatal(err)
 		}
@@ -292,8 +297,8 @@ func TestReconcileRestoreTaintFallback(t *testing.T) {
 		}
 		return rt.Hash()
 	}
-	inc := run(ReconcileIncremental)
-	full := run(ReconcileFullScan)
+	inc := run(incremental)
+	full := run(fullScan)
 	if inc != full {
 		t.Fatalf("post-restore hash diverged: incremental %x vs fullscan %x", inc, full)
 	}

@@ -82,7 +82,7 @@ func obsMingleRun(t *testing.T, shards, workers int) (uint64, int) {
 // point must match the single plain baseline; mingle state depends on
 // the shard count, so each instrumented point races its own plain run.
 func TestObservabilityHashInvariantAcrossGrid(t *testing.T) {
-	baseHash, baseFired := cascadeRun(t, 1, 1, false, false, "")
+	baseHash, baseFired := cascadeRun(t, 1, 1, "")
 	for _, workers := range []int{1, 4} {
 		for _, shards := range []int{1, 2, 4} {
 			h, fired, tracer, prof := obsCascadeRun(t, shards, workers)
@@ -98,7 +98,7 @@ func TestObservabilityHashInvariantAcrossGrid(t *testing.T) {
 			// recorded real spans and real attribution.
 			assertObsRecorded(t, shards, tracer, prof)
 
-			mh, me := mingleRun(t, shards, workers, false, "")
+			mh, me := mingleRun(t, shards, workers, "")
 			oh, oe := obsMingleRun(t, shards, workers)
 			if oh != mh {
 				t.Fatalf("mingle: obs-on hash diverged at shards=%d workers=%d: %x vs %x",
@@ -213,17 +213,25 @@ func TestObservabilityInertUnderOCC(t *testing.T) {
 	if occSpans == 0 {
 		t.Fatal("no occ.retry spans recorded")
 	}
-	var claim obs.ProfRow
+	// claim splits across two rows: its query-phase calls run as a
+	// compiled plan (the compiled twin row), while OCC re-runs go through
+	// the interpreter (the interpreted row).
+	var compiled, interpreted obs.ProfRow
 	for _, r := range prof.Rows() {
-		if r.Name == "behavior/claim" {
-			claim = r
+		if r.Name != "behavior/claim" {
+			continue
+		}
+		if r.Compiled {
+			compiled = r
+		} else {
+			interpreted = r
 		}
 	}
-	if claim.Calls == 0 {
-		t.Fatal("profiler attributed no calls to behavior/claim")
+	if compiled.Calls == 0 {
+		t.Fatal("profiler attributed no compiled calls to behavior/claim")
 	}
-	if claim.Retries == 0 {
-		t.Fatal("profiler attributed no OCC retries to behavior/claim")
+	if interpreted.Retries == 0 {
+		t.Fatal("profiler attributed no OCC retries to interpreted behavior/claim")
 	}
 	// No Conflicts assertion: conflicting assignments resolve inside the
 	// merge here, and every record still targets a live beacon — the

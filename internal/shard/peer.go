@@ -36,8 +36,8 @@ import (
 //
 // The peer always runs the full-scan-equivalent ghost refresh (the
 // repo's feed-equivalence tests pin full-scan ≡ incremental ship
-// sequences), so its hashes match in-process runs under either
-// reconcile strategy.
+// sequences), so its hashes match the in-process runtime's
+// incremental reconcile.
 type Peer struct {
 	cfg   Config
 	self  int
@@ -102,7 +102,10 @@ type Peer struct {
 // config every peer receives (and the one an equivalent in-process
 // Runtime would receive); tr is this peer's endpoint of an n-way mesh.
 func NewPeer(cfg Config, tr wire.Transport) (*Peer, error) {
-	cfg = withDefaults(cfg)
+	cfg, err := withDefaults(cfg)
+	if err != nil {
+		return nil, err
+	}
 	if cfg.Shards != tr.N() {
 		return nil, fmt.Errorf("shard: config wants %d shards but transport mesh has %d", cfg.Shards, tr.N())
 	}
@@ -116,25 +119,9 @@ func NewPeer(cfg Config, tr wire.Transport) (*Peer, error) {
 		pool = sched.Shared()
 	}
 	n := cfg.Shards
-	w := world.New(world.Config{
-		Seed:           cfg.Seed + int64(self)*7919,
-		CellSize:       cfg.CellSize,
-		ScriptFuel:     cfg.ScriptFuel,
-		TickDT:         cfg.TickDT,
-		Workers:        cfg.Workers,
-		DirectTriggers: cfg.DirectTriggers,
-		RowApply:       cfg.RowApply,
-		Pool:           pool,
-		ConflictPolicy: cfg.ConflictPolicy,
-		EffectRetryCap: cfg.EffectRetryCap,
-		Trace:          cfg.Tracer.Context(self),
-		Profile:        cfg.Profile,
-
-		CompileBehaviors: cfg.CompileBehaviors,
-		// The peer's refresh is receiver-evaluated full scan; it never
-		// consumes change feeds.
-		ChangeFeed: cfg.ChangeFeed,
-	})
+	// The peer's refresh is receiver-evaluated full scan; it never
+	// consumes change feeds.
+	w := world.New(cfg.worldConfig(self, pool, cfg.ChangeFeed))
 	w.SetIDAllocator(scriptIDBase+entity.ID(self+1), uint64(n))
 	w.SetShardIndex(self)
 	p := &Peer{

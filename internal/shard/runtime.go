@@ -25,13 +25,6 @@ import (
 // cannot collide in any realistic run.
 const scriptIDBase = entity.ID(1) << 32
 
-// Config.Reconcile values. Incremental is the default: anything other
-// than ReconcileFullScan (including "") selects it.
-const (
-	ReconcileIncremental = "incremental"
-	ReconcileFullScan    = "fullscan"
-)
-
 // Config parameterizes a sharded runtime.
 type Config struct {
 	// Seed drives every random decision (pack spawn jitter, per-shard
@@ -53,14 +46,6 @@ type Config struct {
 	// state-effect pipeline keeps the hash identical for any
 	// (Shards, Workers) combination.
 	Workers int
-	// DirectTriggers passes through to world.Config.DirectTriggers: the
-	// legacy single-threaded direct-write trigger drain instead of the
-	// effect-aware round drain.
-	DirectTriggers bool
-	// RowApply passes through to world.Config.RowApply on every shard
-	// world: the legacy row-at-a-time effect apply instead of the
-	// columnar batch apply (both bit-identical; see world.Config).
-	RowApply bool
 	// Pool is the worker pool shard ticks and every shard world's
 	// tick-parallel phases run on. Nil means the process-wide
 	// sched.Shared() pool, so Shards × Workers shares GOMAXPROCS
@@ -77,12 +62,6 @@ type Config struct {
 	ConflictPolicy string
 	// EffectRetryCap passes through to world.Config.EffectRetryCap.
 	EffectRetryCap int
-	// CompileBehaviors passes through to world.Config.CompileBehaviors
-	// on every shard world: world.CompileOn lowers compilable behavior
-	// scripts onto set-at-a-time query plans at load, with per-entity
-	// interpreter fallback; "" or world.CompileOff interprets everything.
-	// Both modes are bit-identical for any Shards × Workers combination.
-	CompileBehaviors string
 
 	// GhostBand is the width of the border strip mirrored into
 	// neighboring shards as read-only ghosts. It should be at least the
@@ -94,24 +73,14 @@ type Config struct {
 	// ships. Defaults to x and y as Coarse fields (epsilon = 1% of a
 	// cell, MaxAge 20 ticks). Ghost creation always ships the full row.
 	GhostFields []replica.FieldSpec
-	// Reconcile selects the barrier's ghost-refresh strategy.
-	// ReconcileIncremental (the default; "" and unknown values behave
-	// identically) turns on per-tick change feeds in every shard world
-	// and evaluates GhostFields ship policies only for (id, field)
-	// pairs the tick actually dirtied, plus a due-tick index covering
-	// the time-driven ships (Coarse MaxAge deadlines, Cosmetic
-	// schedules) — O(dirty + due) instead of O(band × fields).
-	// ReconcileFullScan is the legacy per-(id, field) sweep of the
-	// whole border band, kept as the equivalence baseline. Both
-	// strategies ship the identical (ships, snapshots) sequence and
-	// keep the runtime hash invariant across any Shards × Workers
-	// combination (the feed tests pin both).
-	Reconcile string
-	// ChangeFeed forces change-feed recording on every shard world even
-	// under ReconcileFullScan (incremental reconcile enables feeds on
-	// its own). The replica fan-out layer consumes the sealed feeds
-	// after each Step, so hosts serving clients from a full-scan
-	// runtime set this.
+	// ChangeFeed forces change-feed recording on every shard world.
+	// A multi-shard runtime with ghosts records feeds on its own: its
+	// barrier refreshes ghosts incrementally, evaluating GhostFields
+	// ship policies only for the (id, field) pairs the tick dirtied plus
+	// a due-tick index of time-driven ships (Coarse MaxAge deadlines,
+	// Cosmetic schedules). The replica fan-out layer also consumes the
+	// sealed feeds after each Step, so hosts serving clients from a
+	// single-shard or ghost-less runtime set this.
 	ChangeFeed bool
 
 	// Tracer records span-based tick traces (nil = tracing off): each
@@ -304,6 +273,10 @@ type Runtime struct {
 	// feedsOn/feedsTainted describe the sealed windows in feedBuf,
 	// set by rotateFeeds at each barrier.
 	feedsOn, feedsTainted bool
+	// refFullScan pins every barrier to the full-scan refresh, the
+	// reference the incremental path is tested against. Only tests set
+	// it.
+	refFullScan bool
 	// routeDirty marks barriers where a handoff moved ownership — the
 	// only event that can change an existing mirror's route.
 	routeDirty bool
@@ -369,10 +342,13 @@ type Runtime struct {
 	StepNS metrics.Histogram
 }
 
-// withDefaults normalizes a Config exactly as New does. The wire Peer
-// applies the same normalization, so a config handed to n peer
-// processes means the same thing it means in-process.
-func withDefaults(cfg Config) Config {
+// withDefaults validates and normalizes a Config exactly as New does.
+// The wire Peer applies the same normalization, so a config handed to
+// n peer processes means the same thing it means in-process.
+func withDefaults(cfg Config) (Config, error) {
+	if err := world.CheckConflictPolicy(cfg.ConflictPolicy); err != nil {
+		return cfg, fmt.Errorf("shard: %w", err)
+	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
 	}
@@ -392,13 +368,37 @@ func withDefaults(cfg Config) Config {
 			{Name: "y", Class: replica.Coarse, Epsilon: eps, MaxAge: 20},
 		}
 	}
-	return cfg
+	return cfg, nil
+}
+
+// worldConfig is shard i's world.Config: the pass-through knobs, a
+// per-shard seed and span context, the runtime's pool, and feeds on or
+// off.
+func (cfg Config) worldConfig(i int, pool *sched.Pool, feeds bool) world.Config {
+	return world.Config{
+		// Shard worlds share the seed lineage but must not share a
+		// stream: offset by shard index.
+		Seed:           cfg.Seed + int64(i)*7919,
+		CellSize:       cfg.CellSize,
+		ScriptFuel:     cfg.ScriptFuel,
+		TickDT:         cfg.TickDT,
+		Workers:        cfg.Workers,
+		Pool:           pool,
+		ConflictPolicy: cfg.ConflictPolicy,
+		EffectRetryCap: cfg.EffectRetryCap,
+		Trace:          cfg.Tracer.Context(i),
+		Profile:        cfg.Profile,
+		ChangeFeed:     feeds,
+	}
 }
 
 // New builds a sharded runtime. Shard ticks run on the shared worker
 // pool at Step time; the runtime itself owns no goroutines.
 func New(cfg Config) (*Runtime, error) {
-	cfg = withDefaults(cfg)
+	cfg, err := withDefaults(cfg)
+	if err != nil {
+		return nil, err
+	}
 	part, err := NewPartitioner(cfg.World, cfg.Shards)
 	if err != nil {
 		return nil, err
@@ -428,28 +428,9 @@ func New(cfg Config) (*Runtime, error) {
 	// Incremental reconcile needs the shard worlds recording change
 	// feeds; cfg.ChangeFeed forces them on for external consumers (the
 	// replica fan-out hub) even when reconcile itself doesn't need them.
-	feeds := cfg.ChangeFeed ||
-		(cfg.Reconcile != ReconcileFullScan && cfg.GhostBand > 0 && n > 1)
+	feeds := cfg.ChangeFeed || (cfg.GhostBand > 0 && n > 1)
 	for i := 0; i < n; i++ {
-		w := world.New(world.Config{
-			// Shard worlds share the seed lineage but must not share a
-			// stream: offset by shard index.
-			Seed:           cfg.Seed + int64(i)*7919,
-			CellSize:       cfg.CellSize,
-			ScriptFuel:     cfg.ScriptFuel,
-			TickDT:         cfg.TickDT,
-			Workers:        cfg.Workers,
-			DirectTriggers: cfg.DirectTriggers,
-			RowApply:       cfg.RowApply,
-			Pool:           pool,
-			ConflictPolicy: cfg.ConflictPolicy,
-			EffectRetryCap: cfg.EffectRetryCap,
-			Trace:          cfg.Tracer.Context(i),
-			Profile:        cfg.Profile,
-
-			CompileBehaviors: cfg.CompileBehaviors,
-			ChangeFeed:       feeds,
-		})
+		w := world.New(cfg.worldConfig(i, pool, feeds))
 		// Script-driven spawns allocate from disjoint residue classes so
 		// ids never collide across shards (or with coordinator ids).
 		w.SetIDAllocator(scriptIDBase+entity.ID(i+1), uint64(n))
@@ -889,10 +870,6 @@ type recStats struct {
 	ships, snaps, skips int
 }
 
-// incremental reports whether the config selects the dirty-set driven
-// reconcile strategy (the default).
-func (rt *Runtime) incremental() bool { return rt.cfg.Reconcile != ReconcileFullScan }
-
 // rotateFeeds seals every shard world's change window exactly once per
 // barrier, whether or not refresh consumes it: the sealed window then
 // covers [previous barrier, this barrier) and the accumulating one
@@ -925,20 +902,19 @@ func (rt *Runtime) rotateFeeds() {
 // class (Coarse position updates ship when drift exceeds epsilon or the
 // mirror grows stale).
 //
-// Two refresh strategies produce the identical ship sequence (the
-// equivalence test pins this): the legacy full scan evaluates every
-// (ghost, field) pair in the band, while the incremental path consumes
-// the per-tick change feeds rotated here and evaluates only dirty
-// pairs plus the due-tick index (see dueAt). A tainted window (a
-// Restore replaced state wholesale) forces one full sweep before
-// incremental resumes.
+// The incremental path consumes the per-tick change feeds rotated here
+// and evaluates only dirty pairs plus the due-tick index (see dueAt).
+// The full scan evaluates every (ghost, field) pair in the band and
+// produces the identical ship sequence (the equivalence test pins
+// this); it runs when feeds are off, past 64 shards, and for one
+// barrier after a tainted window (a Restore replaced state wholesale).
 func (rt *Runtime) reconcileGhosts(desired []map[entity.ID]ghostCandidate) (recStats, error) {
 	n := rt.part.N()
 	var st recStats
 	feedsOn, tainted, feeds := rt.feedsOn, rt.feedsTainted, rt.feedBuf
 	// mirrorMask routes dirty ids by bit index, so incremental collection
 	// caps at 64 shards; beyond that the full scan takes over.
-	useInc := rt.incremental() && feedsOn && !tainted && n <= 64
+	useInc := !rt.refFullScan && feedsOn && !tainted && n <= 64
 	if useInc {
 		rt.collectCandidates(feeds, desired, n)
 	}
@@ -953,9 +929,9 @@ func (rt *Runtime) reconcileGhosts(desired []map[entity.ID]ghostCandidate) (recS
 			continue
 		}
 		// registerDue keeps the due index warm while a tainted window
-		// forces full sweeps in incremental mode, so the switch back is
-		// seamless; pure full-scan configs never consult it.
-		if err := rt.refreshFull(di, desired[di], rt.incremental() && feedsOn, &st); err != nil {
+		// forces full sweeps, so the switch back is seamless; feed-less
+		// runtimes never consult it.
+		if err := rt.refreshFull(di, desired[di], !rt.refFullScan && feedsOn, &st); err != nil {
 			return st, err
 		}
 		if rt.dueAt[di] != nil {
@@ -1280,12 +1256,12 @@ func (rt *Runtime) registerDue(di int, tick int64, id entity.ID) {
 	m[tick] = append(m[tick], id)
 }
 
-// refreshFull is the legacy O(band × fields) refresh: create or
+// refreshFull is the O(band × fields) full-scan refresh: create or
 // re-evaluate every desired mirror in id order. Per-spec column
 // resolution is hoisted to the specInfo cache and the id scratch is
-// reused across shards, so the baseline got cheaper too; ships still go
-// through per-row World.Set (preserving change-notification semantics
-// for feed consumers watching mirror writes).
+// reused across shards; ships still go through per-row World.Set
+// (preserving change-notification semantics for feed consumers
+// watching mirror writes).
 func (rt *Runtime) refreshFull(di int, desired map[entity.ID]ghostCandidate, registerDue bool, st *recStats) error {
 	dst := rt.worlds[di]
 	recs := rt.ghostRecs[di]

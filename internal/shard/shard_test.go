@@ -346,12 +346,11 @@ func TestDeterministicAcrossShardCounts(t *testing.T) {
 
 // cascadeRun drives the trigger-cascade scenario on an n-shard runtime
 // and returns the final hash plus total trigger activations.
-func cascadeRun(t *testing.T, shards, workers int, direct, rowApply bool, conflict string) (uint64, int) {
+func cascadeRun(t *testing.T, shards, workers int, conflict string) (uint64, int) {
 	t.Helper()
 	rt, err := New(Config{
 		Seed: 7, Shards: shards, World: spatial.NewRect(0, 0, 1000, 1000),
-		TickDT: 0.5, GhostBand: 25, Workers: workers, DirectTriggers: direct,
-		RowApply: rowApply, ConflictPolicy: conflict,
+		TickDT: 0.5, GhostBand: 25, Workers: workers, ConflictPolicy: conflict,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -381,7 +380,7 @@ func TestTriggerCascadeHashInvariantAcrossGrid(t *testing.T) {
 	// bit-identical across the whole Shards × Workers grid: cascades
 	// batch per round, actions fan across workers, and the per-round
 	// apply is keyed by (event seq, rule seq) — never by partitioning.
-	baseHash, baseFired := cascadeRun(t, 1, 1, false, false, "")
+	baseHash, baseFired := cascadeRun(t, 1, 1, "")
 	if baseFired == 0 {
 		t.Fatal("scenario fired no triggers")
 	}
@@ -390,7 +389,7 @@ func TestTriggerCascadeHashInvariantAcrossGrid(t *testing.T) {
 			if shards == 1 && workers == 1 {
 				continue
 			}
-			h, fired := cascadeRun(t, shards, workers, false, false, "")
+			h, fired := cascadeRun(t, shards, workers, "")
 			if h != baseHash {
 				t.Fatalf("hash diverged at shards=%d workers=%d: %x vs %x", shards, workers, h, baseHash)
 			}
@@ -400,13 +399,8 @@ func TestTriggerCascadeHashInvariantAcrossGrid(t *testing.T) {
 			}
 		}
 	}
-	// The legacy direct-execution drain is the semantic baseline: on a
-	// strictly per-entity cascade it must produce the identical world.
-	directHash, directFired := cascadeRun(t, 1, 1, true, false, "")
-	if directHash != baseHash || directFired != baseFired {
-		t.Fatalf("effect drain diverged from direct execution: hash %x vs %x, fired %d vs %d",
-			baseHash, directHash, baseFired, directFired)
-	}
+	// TestEffectDrainMatchesDirectDrain (internal/world) pins this hash
+	// to the serial direct-drain reference.
 }
 
 func TestDeterminismSameSeedSameRun(t *testing.T) {
@@ -603,12 +597,12 @@ func TestScriptIDAllocatorsDisjoint(t *testing.T) {
 // mingleRun drives the apply-heavy mingle scenario (the E14 workload
 // shape) on an n-shard runtime and returns the final hash plus total
 // applied effects.
-func mingleRun(t *testing.T, shards, workers int, rowApply bool, conflict string) (uint64, int) {
+func mingleRun(t *testing.T, shards, workers int, conflict string) (uint64, int) {
 	t.Helper()
 	rt, err := New(Config{
 		Seed: 7, Shards: shards, World: spatial.NewRect(0, 0, 400, 400),
 		TickDT: 0.5, GhostBand: 25, Workers: workers,
-		ScriptFuel: 1 << 20, RowApply: rowApply, ConflictPolicy: conflict,
+		ScriptFuel: 1 << 20, ConflictPolicy: conflict,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -636,41 +630,6 @@ func mingleRun(t *testing.T, shards, workers int, rowApply bool, conflict string
 	return rt.Hash(), effects
 }
 
-// TestBatchedApplyHashInvariantAcrossGrid pins the columnar apply to
-// the legacy row-at-a-time apply bit-for-bit across the whole
-// Shards × Workers grid, on both tick-pipeline workloads: the
-// apply-heavy E14 mingle crowd (set + add floods over four columns plus
-// physics deltas) and the E15 trigger cascade (per-round applies inside
-// the trigger drain). Grouping by (table, column) must never show in
-// the world state — only in the profile.
-func TestBatchedApplyHashInvariantAcrossGrid(t *testing.T) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		for _, shards := range []int{1, 2, 4} {
-			bh, be := mingleRun(t, shards, workers, false, "")
-			rh, re := mingleRun(t, shards, workers, true, "")
-			if bh != rh {
-				t.Fatalf("mingle: batched hash diverged from row apply at shards=%d workers=%d: %x vs %x",
-					shards, workers, bh, rh)
-			}
-			if be != re {
-				t.Fatalf("mingle: effect counts diverged at shards=%d workers=%d: %d vs %d",
-					shards, workers, be, re)
-			}
-
-			ch, cf := cascadeRun(t, shards, workers, false, false, "")
-			crh, crf := cascadeRun(t, shards, workers, false, true, "")
-			if ch != crh {
-				t.Fatalf("cascade: batched hash diverged from row apply at shards=%d workers=%d: %x vs %x",
-					shards, workers, ch, crh)
-			}
-			if cf != crf {
-				t.Fatalf("cascade: activations diverged at shards=%d workers=%d: %d vs %d",
-					shards, workers, cf, crf)
-			}
-		}
-	}
-}
-
 // TestOCCConflictPolicyHashInvariantAcrossGrid pins ConflictPolicy=occ
 // across the whole Workers × Shards grid on both tick-pipeline
 // workloads. Both scenarios write strictly per-entity, so occ must land
@@ -684,11 +643,11 @@ func TestBatchedApplyHashInvariantAcrossGrid(t *testing.T) {
 // so its occ hash is pinned to the lastwrite hash at the same grid
 // point instead.
 func TestOCCConflictPolicyHashInvariantAcrossGrid(t *testing.T) {
-	cascadeBase, cascadeFired := cascadeRun(t, 1, 1, false, false, "")
+	cascadeBase, cascadeFired := cascadeRun(t, 1, 1, "")
 	for _, workers := range []int{1, 2, 4, 8} {
 		for _, shards := range []int{1, 2, 4} {
-			lh, le := mingleRun(t, shards, workers, false, "")
-			mh, me := mingleRun(t, shards, workers, false, world.ConflictOCC)
+			lh, le := mingleRun(t, shards, workers, "")
+			mh, me := mingleRun(t, shards, workers, world.ConflictOCC)
 			if mh != lh {
 				t.Fatalf("mingle: occ hash diverged from lastwrite at shards=%d workers=%d: %x vs %x",
 					shards, workers, mh, lh)
@@ -697,7 +656,7 @@ func TestOCCConflictPolicyHashInvariantAcrossGrid(t *testing.T) {
 				t.Fatalf("mingle: occ effect counts diverged at shards=%d workers=%d: %d vs %d",
 					shards, workers, me, le)
 			}
-			ch, cf := cascadeRun(t, shards, workers, false, false, world.ConflictOCC)
+			ch, cf := cascadeRun(t, shards, workers, world.ConflictOCC)
 			if ch != cascadeBase {
 				t.Fatalf("cascade: occ hash diverged from lastwrite baseline at shards=%d workers=%d: %x vs %x",
 					shards, workers, ch, cascadeBase)

@@ -188,13 +188,15 @@ func (d *Dec) U64() uint64 {
 	return v
 }
 
-// Uvarint reads an unsigned varint.
+// Uvarint reads an unsigned varint. Only the minimal encoding the
+// encoder writes is accepted: a multi-byte varint ending in a zero byte
+// is padded, and padding is corruption.
 func (d *Dec) Uvarint() uint64 {
 	if d.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
+	if n <= 0 || (n > 1 && d.b[d.off+n-1] == 0) {
 		d.fail("uvarint")
 		return 0
 	}
@@ -202,13 +204,14 @@ func (d *Dec) Uvarint() uint64 {
 	return v
 }
 
-// Varint reads a zigzag-encoded signed varint.
+// Varint reads a zigzag-encoded signed varint, minimal encodings only
+// (see Uvarint).
 func (d *Dec) Varint() int64 {
 	if d.err != nil {
 		return 0
 	}
 	v, n := binary.Varint(d.b[d.off:])
-	if n <= 0 {
+	if n <= 0 || (n > 1 && d.b[d.off+n-1] == 0) {
 		d.fail("varint")
 		return 0
 	}
@@ -219,8 +222,14 @@ func (d *Dec) Varint() int64 {
 // F64 reads a raw-bits float64.
 func (d *Dec) F64() float64 { return math.Float64frombits(d.U64()) }
 
-// Bool reads a one-byte bool.
-func (d *Dec) Bool() bool { return d.U8() != 0 }
+// Bool reads a one-byte bool; bytes other than 0 and 1 are corrupt.
+func (d *Dec) Bool() bool {
+	v := d.U8()
+	if v > 1 {
+		d.fail("bool")
+	}
+	return v == 1
+}
 
 // Str reads a length-prefixed string, interning it when the decoder
 // has an interner.

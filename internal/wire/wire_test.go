@@ -212,6 +212,37 @@ func TestDecCorrupt(t *testing.T) {
 	}
 }
 
+// TestDecRejectsNonCanonical: the decoder accepts only the bytes the
+// encoder writes, so a decoded payload always re-encodes to its input.
+func TestDecRejectsNonCanonical(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		in   []byte
+		read func(d *Dec)
+	}{
+		{"padded uvarint", []byte{0x81, 0x00}, func(d *Dec) { d.Uvarint() }},
+		{"padded zero uvarint", []byte{0x80, 0x80, 0x00}, func(d *Dec) { d.Uvarint() }},
+		{"padded varint", []byte{0x82, 0x00}, func(d *Dec) { d.Varint() }},
+		{"bool 2", []byte{2}, func(d *Dec) { d.Bool() }},
+	} {
+		d := NewDec(c.in, nil)
+		if c.read(d); d.Err() == nil {
+			t.Errorf("%s %x: no error", c.name, c.in)
+		}
+	}
+	// The minimal encodings still decode.
+	d := NewDec([]byte{0x00, 0x80, 0x01, 0x01}, nil)
+	if v := d.Uvarint(); v != 0 || d.Err() != nil {
+		t.Fatalf("uvarint 0: %d, %v", v, d.Err())
+	}
+	if v := d.Uvarint(); v != 128 || d.Err() != nil {
+		t.Fatalf("uvarint 128: %d, %v", v, d.Err())
+	}
+	if !d.Bool() || d.Err() != nil {
+		t.Fatalf("bool 1: %v", d.Err())
+	}
+}
+
 // TestFrameRoundTrip streams frames through appendFrame/readFrame.
 func TestFrameRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))

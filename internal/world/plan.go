@@ -10,8 +10,8 @@ import (
 	"gamedb/internal/script"
 )
 
-// This file hosts the world side of compiled behavior execution
-// (Config.CompileBehaviors = CompileOn): the gslplan.Env implementation
+// This file hosts the world side of compiled behavior execution: the
+// gslplan.Env implementation
 // that routes a compiled plan's reads and effects through the same
 // frozen-state accessors and EffectBuffer entry points the effect-mode
 // builtins use — same read-set logging, same effect records, same
@@ -115,14 +115,11 @@ func errNoPosition(id entity.ID) error {
 	return fmt.Errorf("world: entity %d has no position", id)
 }
 
-// compileBehavior lowers a freshly loaded script onto a query plan
-// (when CompileBehaviors is on) and records either the shared plan
-// template or the first non-compilable construct. Scripts without an
-// on_tick entry point are skipped — they never run as behaviors.
+// compileBehavior lowers a freshly loaded script onto a query plan and
+// records either the shared plan template or the first non-compilable
+// construct. Scripts without an on_tick entry point are skipped — they
+// never run as behaviors.
 func (w *World) compileBehavior(name string, prog *script.Program) {
-	if !w.compileEnabled() {
-		return
-	}
 	if prog.Fns[gslplan.EntryFn] == nil {
 		return
 	}
@@ -165,7 +162,7 @@ func (w *World) behaviorPlan(plans []map[string]*gslplan.Plan, wi int, name stri
 // PlanFor reports the compiled plan state of a loaded script: the
 // plan's Explain text when it compiled, or the first non-compilable
 // construct when it fell back. ok is false when the script is unknown
-// or compilation is disabled.
+// or has no on_tick entry point.
 func (w *World) PlanFor(name string) (explain string, fallback string, ok bool) {
 	if p, found := w.planProgs[name]; found {
 		return p.Explain(), "", true

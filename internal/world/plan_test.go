@@ -46,11 +46,15 @@ fn on_tick(self) {
   </script>
 </contentpack>`
 
-// runCompiledCrowd builds the crowd with the given compile mode, runs
-// it, and returns the snapshot plus summed tick stats.
-func runCompiledCrowd(t *testing.T, compile string, workers, ticks int) ([]byte, TickStats) {
+// runCompiledCrowd builds the crowd — on the interpreter reference
+// when interpret is set — runs it, and returns the snapshot plus summed
+// tick stats.
+func runCompiledCrowd(t *testing.T, interpret bool, workers, ticks int) ([]byte, TickStats) {
 	t.Helper()
-	w := loadPack(t, Config{Seed: 11, CellSize: 8, Workers: workers, CompileBehaviors: compile}, compiledCrowdPack)
+	w := loadPack(t, Config{Seed: 11, CellSize: 8, Workers: workers}, compiledCrowdPack)
+	if interpret {
+		UseInterpreter(w)
+	}
 	for i := 0; i < 24; i++ {
 		arch := "unit"
 		if i%6 == 0 {
@@ -67,7 +71,7 @@ func runCompiledCrowd(t *testing.T, compile string, workers, ticks int) ([]byte,
 			t.Fatal(err)
 		}
 		if st.ScriptErrors > 0 {
-			t.Fatalf("compile=%q tick %d: %v", compile, st.Tick, w.LastScriptError)
+			t.Fatalf("interpret=%v tick %d: %v", interpret, st.Tick, w.LastScriptError)
 		}
 		sum.ScriptCalls += st.ScriptCalls
 		sum.ScriptSkips += st.ScriptSkips
@@ -89,15 +93,15 @@ func runCompiledCrowd(t *testing.T, compile string, workers, ticks int) ([]byte,
 // back.
 func TestCompiledMatchesInterpreted(t *testing.T) {
 	const ticks = 12
-	base, baseStats := runCompiledCrowd(t, CompileOff, 1, ticks)
+	base, baseStats := runCompiledCrowd(t, true, 1, ticks)
 	if baseStats.Effects == 0 {
 		t.Fatal("crowd emitted no effects — workload inert")
 	}
 	if baseStats.CompiledCalls != 0 {
-		t.Fatalf("compile-off counted %d compiled calls", baseStats.CompiledCalls)
+		t.Fatalf("interpreter reference counted %d compiled calls", baseStats.CompiledCalls)
 	}
 	for _, workers := range []int{1, 2, 4} {
-		snap, st := runCompiledCrowd(t, CompileOn, workers, ticks)
+		snap, st := runCompiledCrowd(t, false, workers, ticks)
 		if !bytes.Equal(base, snap) {
 			t.Fatalf("compiled world diverged from interpreted at workers=%d", workers)
 		}
@@ -108,7 +112,7 @@ func TestCompiledMatchesInterpreted(t *testing.T) {
 				st.FuelUsed, baseStats.FuelUsed, st.Effects, baseStats.Effects)
 		}
 		if st.CompiledCalls == 0 {
-			t.Fatalf("workers=%d: compile-on ran zero compiled calls", workers)
+			t.Fatalf("workers=%d: ran zero compiled calls", workers)
 		}
 		if st.CompiledCalls >= st.ScriptCalls {
 			t.Fatalf("workers=%d: chatty fallback missing (compiled %d of %d calls)",
@@ -118,11 +122,14 @@ func TestCompiledMatchesInterpreted(t *testing.T) {
 }
 
 // TestCompiledFallbackKeepsChaosIdentical: the chaos pack's scripts all
-// hit non-compilable constructs (spawn, despawn, break), so compile-on
-// must degrade to pure fallback with an identical world.
+// hit non-compilable constructs (spawn, despawn, break), so the world
+// must degrade to pure fallback, identical to the interpreter reference.
 func TestCompiledFallbackKeepsChaosIdentical(t *testing.T) {
-	run := func(compile string) ([]byte, int) {
-		w := loadPack(t, Config{Seed: 9, CellSize: 8, Workers: 4, CompileBehaviors: compile}, chaosPack)
+	run := func(interpret bool) ([]byte, int) {
+		w := loadPack(t, Config{Seed: 9, CellSize: 8, Workers: 4}, chaosPack)
+		if interpret {
+			UseInterpreter(w)
+		}
 		compiled := 0
 		for i := 0; i < 20; i++ {
 			st, err := w.Step()
@@ -137,13 +144,13 @@ func TestCompiledFallbackKeepsChaosIdentical(t *testing.T) {
 		}
 		return snap, compiled
 	}
-	base, _ := run(CompileOff)
-	snap, compiled := run(CompileOn)
+	base, _ := run(true)
+	snap, compiled := run(false)
 	if compiled != 0 {
 		t.Fatalf("chaos scripts compiled %d calls, want pure fallback", compiled)
 	}
 	if !bytes.Equal(base, snap) {
-		t.Fatal("fallback-only compile-on diverged from compile-off")
+		t.Fatal("fallback-only world diverged from the interpreter reference")
 	}
 }
 
@@ -152,9 +159,11 @@ func TestCompiledFallbackKeepsChaosIdentical(t *testing.T) {
 // and re-runs converge to the same serializable state with identical
 // retry/abort accounting.
 func TestCompiledOCCEquivalence(t *testing.T) {
-	run := func(compile string) ([]byte, TickStats) {
-		w := spawnConflictQuartet(t, Config{Seed: 1, Workers: 2, ConflictPolicy: ConflictOCC,
-			CompileBehaviors: compile}, 7)
+	run := func(interpret bool) ([]byte, TickStats) {
+		w := spawnConflictQuartet(t, Config{Seed: 1, Workers: 2, ConflictPolicy: ConflictOCC}, 7)
+		if interpret {
+			UseInterpreter(w)
+		}
 		var sum TickStats
 		for i := 0; i < 5; i++ {
 			st, err := w.Step()
@@ -173,13 +182,13 @@ func TestCompiledOCCEquivalence(t *testing.T) {
 		}
 		return snap, sum
 	}
-	base, off := run(CompileOff)
+	base, off := run(true)
 	if off.EffectRetries == 0 {
 		t.Fatal("quartet produced no retries — conflict machinery not exercised")
 	}
-	snap, on := run(CompileOn)
+	snap, on := run(false)
 	if !bytes.Equal(base, snap) {
-		t.Fatal("occ snapshot diverged between compile modes")
+		t.Fatal("occ snapshot diverged from the interpreter reference")
 	}
 	if on.EffectRetries != off.EffectRetries || on.EffectAborts != off.EffectAborts {
 		t.Fatalf("occ accounting diverged: retries %d/%d aborts %d/%d",
@@ -190,7 +199,7 @@ func TestCompiledOCCEquivalence(t *testing.T) {
 			on.ScriptCalls, off.ScriptCalls, on.FuelUsed, off.FuelUsed)
 	}
 	if on.CompiledCalls == 0 {
-		t.Fatal("compile-on quartet ran zero compiled calls")
+		t.Fatal("quartet ran zero compiled calls")
 	}
 }
 
@@ -198,9 +207,11 @@ func TestCompiledOCCEquivalence(t *testing.T) {
 // invocations in either mode — a compiled overrun rolls back and the
 // interpreter rerun owns the skip accounting.
 func TestCompiledFuelSkipParity(t *testing.T) {
-	run := func(compile string) ([]byte, TickStats) {
-		w := loadPack(t, Config{Seed: 11, CellSize: 8, Workers: 2, ScriptFuel: 18,
-			CompileBehaviors: compile}, compiledCrowdPack)
+	run := func(interpret bool) ([]byte, TickStats) {
+		w := loadPack(t, Config{Seed: 11, CellSize: 8, Workers: 2, ScriptFuel: 18}, compiledCrowdPack)
+		if interpret {
+			UseInterpreter(w)
+		}
 		for i := 0; i < 16; i++ {
 			if _, err := w.Spawn("unit", spatial.Vec2{X: float64(i % 4), Y: float64(i / 4)}); err != nil {
 				t.Fatal(err)
@@ -222,13 +233,13 @@ func TestCompiledFuelSkipParity(t *testing.T) {
 		}
 		return snap, sum
 	}
-	base, off := run(CompileOff)
+	base, off := run(true)
 	if off.ScriptSkips == 0 {
 		t.Fatal("fuel budget did not starve any invocation — parity untested")
 	}
-	snap, on := run(CompileOn)
+	snap, on := run(false)
 	if !bytes.Equal(base, snap) {
-		t.Fatal("starved worlds diverged between compile modes")
+		t.Fatal("starved world diverged from the interpreter reference")
 	}
 	if on.ScriptSkips != off.ScriptSkips || on.FuelUsed != off.FuelUsed {
 		t.Fatalf("skip accounting diverged: skips %d/%d fuel %d/%d",
@@ -240,7 +251,7 @@ func TestCompiledFuelSkipParity(t *testing.T) {
 // -plan flag rides on: explain text for compiled scripts, the first
 // offending construct for fallbacks, not-found otherwise.
 func TestPlanForReportsCompileState(t *testing.T) {
-	w := loadPack(t, Config{Seed: 1, CompileBehaviors: CompileOn}, compiledCrowdPack)
+	w := loadPack(t, Config{Seed: 1}, compiledCrowdPack)
 	explain, fallback, ok := w.PlanFor("mingle")
 	if !ok || explain == "" || fallback != "" {
 		t.Fatalf("mingle: explain=%q fallback=%q ok=%v", explain, fallback, ok)
@@ -251,9 +262,5 @@ func TestPlanForReportsCompileState(t *testing.T) {
 	}
 	if _, _, ok := w.PlanFor("nope"); ok {
 		t.Fatal("unknown script reported a plan")
-	}
-	woff := loadPack(t, Config{Seed: 1}, compiledCrowdPack)
-	if _, _, ok := woff.PlanFor("mingle"); ok {
-		t.Fatal("compile-off world reported a plan")
 	}
 }

@@ -36,8 +36,7 @@ type workerStats struct {
 //   - trigger phase: queued events drain in cascade rounds, each round
 //     its own mini tick — parallel read-only condition queries, actions
 //     fanned across the same worker pool into effect buffers, one
-//     deterministic apply (see trigger_phase.go). Config.DirectTriggers
-//     selects the legacy single-threaded direct-write drain instead.
+//     deterministic apply (see trigger_phase.go).
 //
 // Every phase reads only frozen state between applies and every merge
 // order is independent of the partitioning, so the same seed yields an
@@ -169,8 +168,6 @@ func (w *World) runWorker(wi, workers int) {
 		profs = w.workerProfs[wi]
 	}
 
-	compileOn := w.compileEnabled()
-
 	lo, hi := chunkRange(len(w.rosterBuf), workers, wi)
 	for _, id := range w.rosterBuf[lo:hi] {
 		name := w.behaviors[id]
@@ -186,7 +183,7 @@ func (w *World) runWorker(wi, workers int) {
 		// authoritative. begin() reseeds the per-invocation rand stream
 		// deterministically from (seed, tick, id), so the rerun replays
 		// identical draws.
-		if compileOn {
+		if !w.ref.interpret {
 			if p := w.behaviorPlan(w.workerPlans, wi, name); p != nil {
 				var cpe *obs.ProfEntry
 				if profs != nil {
@@ -329,10 +326,8 @@ func (w *World) ensureWorkers(n int) {
 			w.workerProfs = append(w.workerProfs, make(map[string]*obs.ProfEntry))
 		}
 	}
-	if w.compileEnabled() {
-		for len(w.workerPlans) < n {
-			w.workerPlans = append(w.workerPlans, nil)
-		}
+	for len(w.workerPlans) < n {
+		w.workerPlans = append(w.workerPlans, nil)
 	}
 }
 

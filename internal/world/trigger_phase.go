@@ -95,12 +95,13 @@ func (w *World) ensureTriggerClones(bt *boundTrigger, n int) {
 	}
 }
 
-// drainTriggers runs the tick's trigger phase. In DirectTriggers mode
-// it is the legacy serial drain; otherwise it loops effect-mode rounds
-// until the queue is empty or the cascade limit trips (the remaining
-// events are dropped and counted, and the engine stays usable).
+// drainTriggers runs the tick's trigger phase: it loops effect-mode
+// rounds until the queue is empty or the cascade limit trips (the
+// remaining events are dropped and counted, and the engine stays
+// usable). The test-only direct reference (refPaths.directTriggers) is
+// the engine's serial Drain instead.
 func (w *World) drainTriggers(st *TickStats) error {
-	if w.cfg.DirectTriggers {
+	if w.ref.directTriggers {
 		fired, err := w.trig.Drain()
 		st.TriggerFired += fired
 		return err

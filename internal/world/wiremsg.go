@@ -28,7 +28,11 @@ func AppendEffect(e *wire.Enc, ef *Effect) {
 func DecodeEffect(d *wire.Dec, ef *Effect) {
 	ef.Kind = EffectKind(d.U8())
 	ef.Src = entity.ID(d.Uvarint())
-	ef.Seq = int32(d.Varint())
+	seq := d.Varint()
+	if seq != int64(int32(seq)) {
+		d.Fail("effect seq")
+	}
+	ef.Seq = int32(seq)
 	ef.Target = entity.ID(d.Uvarint())
 	ef.Col = d.Str()
 	ef.Val = d.Value()

@@ -1,6 +1,7 @@
 package world
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -186,4 +187,60 @@ func TestRemoteBatchCorrupt(t *testing.T) {
 	if DecodeVerdicts(d, nil); d.Err() == nil {
 		t.Fatalf("oversized verdict count accepted")
 	}
+}
+
+// checkReencodes is the decoder fuzz property: a payload either fails
+// to decode or re-encodes to exactly the bytes the decode consumed.
+func checkReencodes(t *testing.T, data []byte, d *wire.Dec, encode func(e *wire.Enc)) {
+	t.Helper()
+	if d.Err() != nil {
+		return
+	}
+	var e wire.Enc
+	encode(&e)
+	if consumed := data[:len(data)-d.Remaining()]; !bytes.Equal(e.Bytes(), consumed) {
+		t.Fatalf("decoded payload re-encodes to %x, consumed %x", e.Bytes(), consumed)
+	}
+}
+
+func FuzzDecodeRemoteBatch(f *testing.F) {
+	rng := rand.New(rand.NewSource(5))
+	var e wire.Enc
+	for i := 0; i < 4; i++ {
+		var b RemoteEffectBatch
+		for j := 0; j < i; j++ {
+			b.Recs = append(b.Recs, RemoteEffect{E: randEffect(rng), Gen: rng.Int63()})
+			b.invocs = append(b.invocs, foreignInvoc{
+				key:     ForeignKey{Src: entity.ID(j + 1), Gen: rng.Int63()},
+				retries: j,
+				reads:   []readCell{{id: entity.ID(j + 7), col: "hp"}},
+			})
+		}
+		e.Reset()
+		AppendRemoteBatch(&e, &b)
+		f.Add(append([]byte(nil), e.Bytes()...))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d := wire.NewDec(data, wire.NewInterner())
+		var b RemoteEffectBatch
+		DecodeRemoteBatch(d, &b)
+		checkReencodes(t, data, d, func(e *wire.Enc) { AppendRemoteBatch(e, &b) })
+	})
+}
+
+func FuzzDecodeVerdicts(f *testing.F) {
+	var e wire.Enc
+	AppendVerdicts(&e, nil)
+	f.Add(append([]byte(nil), e.Bytes()...))
+	e.Reset()
+	AppendVerdicts(&e, []ForeignInvalidation{
+		{Key: ForeignKey{Shard: 1, Src: 40, Gen: -3}, Retries: 2},
+		{Key: ForeignKey{Shard: 3, Src: 1 << 40, Gen: 9}},
+	})
+	f.Add(append([]byte(nil), e.Bytes()...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d := wire.NewDec(data, nil)
+		vs := DecodeVerdicts(d, nil)
+		checkReencodes(t, data, d, func(e *wire.Enc) { AppendVerdicts(e, vs) })
+	})
 }

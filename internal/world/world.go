@@ -49,19 +49,15 @@ const (
 // Config.EffectRetryCap is unset.
 const DefaultEffectRetryCap = 8
 
-// Compile policies for Config.CompileBehaviors.
-const (
-	// CompileOn compiles behavior bodies onto set-at-a-time query plans
-	// (internal/gslplan) executed per behavior over the roster; bodies
-	// outside the compilable subset — and any compiled invocation that
-	// errors or would exhaust its fuel budget — fall back to the
-	// per-entity interpreter, so world state stays bit-identical to
-	// interpreted execution.
-	CompileOn = "on"
-	// CompileOff runs every behavior on the tree-walking interpreter.
-	// This is the default ("" and unknown values behave identically).
-	CompileOff = "off"
-)
+// CheckConflictPolicy returns an error naming p unless it is one of
+// the conflict policies ("" selects ConflictLastWrite).
+func CheckConflictPolicy(p string) error {
+	switch p {
+	case "", ConflictLastWrite, ConflictOCC:
+		return nil
+	}
+	return fmt.Errorf("world: unknown conflict policy %q (want %q or %q)", p, ConflictLastWrite, ConflictOCC)
+}
 
 // Config parameterizes a world.
 type Config struct {
@@ -83,38 +79,15 @@ type Config struct {
 	// state-effect pipeline makes the resulting world state identical
 	// for any value, so Workers is purely a throughput knob.
 	Workers int
-	// DirectTriggers selects the legacy direct-execution trigger drain:
-	// single-threaded, writes applied immediately, cascading rules
-	// observing each other mid-round. The default (false) is the
-	// effect-aware drain, which runs each cascade round as its own mini
-	// tick — conditions evaluate as read-only queries over the round's
-	// frozen state, actions fan across the Workers pool into effect
-	// buffers, and one deterministic apply ends the round — so trigger
-	// cascades parallelize without giving up hash invariance. Direct
-	// mode remains as the baseline for BenchmarkE15TriggerCascade and
-	// for hosts whose Go rule actions must observe one another's writes
-	// within a single round.
-	DirectTriggers bool
-	// RowApply selects the legacy row-at-a-time effect apply: every
-	// merged record written through world.Set's table-lookup →
-	// change-notification chain, with the spatial index maintained one
-	// Move per position write. The default (false) is the columnar
-	// apply, which groups merged effects by (table, column), writes
-	// them through entity.Table's batch entry points, and re-syncs the
-	// spatial index in one MoveBatch flush. Both produce bit-identical
-	// world state (the equivalence tests pin this); row mode remains as
-	// the baseline for BenchmarkE16ApplyBatch and for hosts whose table
-	// change listeners need per-row update notifications during apply.
-	RowApply bool
 	// Pool is the worker pool tick-parallel phases run on. Nil means
 	// the process-wide sched.Shared() pool (sized to GOMAXPROCS), which
 	// every world and shard runtime shares by default so Shards ×
 	// Workers configurations cannot oversubscribe the scheduler.
 	Pool *sched.Pool
 	// ConflictPolicy selects how the apply phase resolves conflicting
-	// assignments: ConflictLastWrite (the default; "" and any unknown
-	// value behave identically) or ConflictOCC (serializable re-runs via
-	// read-set validation). See the policy constants for semantics.
+	// assignments: ConflictLastWrite (the default, also selected by "")
+	// or ConflictOCC (serializable re-runs via read-set validation). See
+	// the policy constants for semantics; New panics on any other value.
 	ConflictPolicy string
 	// EffectRetryCap bounds the OCC re-run rounds of one apply under
 	// ConflictOCC (≤ 0 selects DefaultEffectRetryCap). Each round
@@ -147,15 +120,6 @@ type Config struct {
 	// The shard runtime's incremental ghost reconcile and the replica
 	// fan-out consume the sealed feed; default off.
 	ChangeFeed bool
-	// CompileBehaviors selects the behavior execution engine for the
-	// query phase: CompileOn lowers compilable on_tick bodies onto
-	// set-at-a-time query plans with per-entity interpreter fallback,
-	// CompileOff (the default; "" and unknown values behave identically)
-	// interprets everything. Compiled execution preserves effect
-	// records, read-sets, rand streams and fuel accounting exactly, so
-	// both settings produce bit-identical worlds; TickStats.CompiledCalls
-	// reports how many invocations stayed on the compiled path.
-	CompileBehaviors string
 }
 
 // World is a running game shard.
@@ -210,17 +174,16 @@ type World struct {
 	// Compiled-behavior state (plan.go). planProgs holds the immutable
 	// compiled plan per script name (shared across workers), planFails
 	// the first non-compilable construct for scripts that stay on the
-	// interpreter; both are built eagerly in LoadContent when
-	// CompileBehaviors is on. workerPlans is each worker's bound-plan
-	// cache (plan + that worker's effect-buffer Env), invalidated
-	// alongside workerInterps.
+	// interpreter; LoadContent builds both eagerly. workerPlans is each
+	// worker's bound-plan cache (plan + that worker's effect-buffer
+	// Env), invalidated alongside workerInterps.
 	planProgs   map[string]*gslplan.Program
 	planFails   map[string]string
 	workerPlans []map[string]*gslplan.Plan
-	rosterBuf     []entity.ID
-	physTabs      []*entity.Table
-	physIDs       [][]entity.ID
-	mergeBuf      []Effect
+	rosterBuf   []entity.ID
+	physTabs    []*entity.Table
+	physIDs     [][]entity.ID
+	mergeBuf    []Effect
 
 	// Columnar-apply scratch (apply_batch.go), reused tick-to-tick.
 	setBatches []colBatch
@@ -304,10 +267,30 @@ type World struct {
 	feed       *entity.ChangeFeed
 	sealedFeed *entity.ChangeFeed
 
+	// ref switches stages onto the reference implementations the
+	// equivalence tests pin the production paths against. Only tests set
+	// it (export_test.go); the zero value is the production pipeline.
+	ref refPaths
+
 	// LastScriptError keeps the most recent behavior error for
 	// diagnostics; the tick itself continues (one bad designer script
 	// must not stop the shard).
 	LastScriptError error
+}
+
+// refPaths selects reference implementations of tick stages in place of
+// the production ones. The zero value is production; only the test
+// hooks in export_test.go set it.
+type refPaths struct {
+	// assignRows, when set, replaces the columnar assignment and delta
+	// passes of the apply phase.
+	assignRows func(w *World, merged []Effect, resolve func(entity.ID) (entity.ID, bool), conflicts *int)
+	// directTriggers drains triggers serially through the engine
+	// instead of in effect rounds.
+	directTriggers bool
+	// interpret skips the compiled plans and runs every behavior on the
+	// interpreter.
+	interpret bool
 }
 
 // TickStats summarizes one tick.
@@ -320,13 +303,12 @@ type TickStats struct {
 	// discarded because the invocation exhausted its fuel budget (a
 	// skipped query, not an error — one greedy designer script must not
 	// stop the shard).
-	ScriptSkips  int
-	FuelUsed     int64
+	ScriptSkips int
+	FuelUsed    int64
 	// CompiledCalls counts behavior invocations that committed on the
-	// compiled query-plan path this tick (the rest of ScriptCalls ran on
-	// the interpreter, by fallback or because CompileBehaviors is off).
-	// CompiledCalls / ScriptCalls is the coverage fraction the E21
-	// record and -json extras report.
+	// compiled query-plan path this tick (the rest of ScriptCalls fell
+	// back to the interpreter). CompiledCalls / ScriptCalls is the
+	// coverage fraction the -json extras report.
 	CompiledCalls int
 	TriggerFired  int
 	// TriggerRounds counts trigger cascade rounds drained this tick —
@@ -382,8 +364,12 @@ type TickStats struct {
 	TriggerNS int64
 }
 
-// New builds an empty world.
+// New builds an empty world. It panics if cfg.ConflictPolicy is not a
+// known policy (see CheckConflictPolicy).
 func New(cfg Config) *World {
+	if err := CheckConflictPolicy(cfg.ConflictPolicy); err != nil {
+		panic(err.Error())
+	}
 	if cfg.CellSize <= 0 {
 		cfg.CellSize = 16
 	}
@@ -440,15 +426,8 @@ func (w *World) SetIDAllocator(next entity.ID, stride uint64) {
 // Tick returns the current tick number.
 func (w *World) Tick() int64 { return w.tick }
 
-// occEnabled reports whether the OCC conflict policy is active. Any
-// value other than ConflictOCC — including "" and ConflictLastWrite —
-// selects last-write-wins.
+// occEnabled reports whether the OCC conflict policy is active.
 func (w *World) occEnabled() bool { return w.cfg.ConflictPolicy == ConflictOCC }
-
-// compileEnabled reports whether behaviors execute on compiled query
-// plans. Any value other than CompileOn — including "" and CompileOff —
-// selects the interpreter.
-func (w *World) compileEnabled() bool { return w.cfg.CompileBehaviors == CompileOn }
 
 // effectRetryCap returns the bounded OCC re-run round count.
 func (w *World) effectRetryCap() int {
@@ -609,11 +588,10 @@ func (w *World) LoadContent(c *content.Compiled) error {
 }
 
 // bindTrigger wraps a compiled trigger's GSL programs as a trigger.Rule.
-// The rule carries direct-execution closures (used by Config
-// DirectTriggers mode and by hosts calling Fire/Drain on the engine
-// directly), and the compiled programs are also recorded in trigBound
-// so the effect-aware drain can run them on per-worker interpreter
-// clones emitting into effect buffers.
+// The rule carries direct-execution closures (used by hosts calling
+// Fire/Drain on the engine directly), and the compiled programs are
+// also recorded in trigBound so the tick's effect drain can run them on
+// per-worker interpreter clones emitting into effect buffers.
 func (w *World) bindTrigger(ct *content.CompiledTrigger) error {
 	actIn := script.NewInterp(ct.Act, script.Options{
 		Fuel:     w.cfg.ScriptFuel,

@@ -325,3 +325,13 @@ func TestSpawnFromPackSpawns(t *testing.T) {
 		return true
 	})
 }
+
+func TestNewPanicsOnUnknownConflictPolicy(t *testing.T) {
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, `"serializable"`) {
+			t.Fatalf("recovered %q, want a panic naming the policy", msg)
+		}
+	}()
+	New(Config{ConflictPolicy: "serializable"})
+}
