@@ -22,17 +22,24 @@ package replica
 // (table, column, id) cells that could need shipping, so per-tick cost
 // is O(dirty + due + clients-touched), never O(entities × clients).
 //
+// Flush cost: a client's flush is O(covered cells + events + runs),
+// not O(messages). Each cell cuts its field updates into one run list
+// per tier as they arrive (runs of equal-size messages), so the tier
+// filter runs once per cell, not once per client; client queues hold
+// runs too, and drops and drains consume whole runs while giving
+// exactly the per-message outcome.
+//
 // Concurrency contract: BeginTick / Spawn / Update / Despawn /
 // MoveClient / AddClient run single-threaded between flushes; FlushTick
 // fans per-client work across the worker pool, reading the shared
-// per-cell lists immutably. Aggregate totals are deterministic for a
-// deterministic call sequence: per-client streams are independent, and
-// the only unordered work (snapshot batches from cell-set iteration)
-// consists of indistinguishable messages (same bytes, same tick), so
-// queue drains, drops and staleness samples cannot observe the order.
+// per-cell state immutably. Every client's trajectory (what it
+// receives, drops and waits on, and when its tier moves) is a
+// deterministic function of the call sequence under either sizing:
+// per-client streams are independent of the pool's chunking, and a
+// cover diff enumerates each cell's population in id order.
 
 import (
-	"sort"
+	"slices"
 
 	"gamedb/internal/metrics"
 	"gamedb/internal/sched"
@@ -99,9 +106,9 @@ type HubConfig struct {
 	// the internal/wire codec (the shard barrier's frame codec) instead
 	// of the fixed modeled constants: varint-length ids and real float
 	// payloads, so byte budgets and tier watermarks respond to actual
-	// encoded sizes. Totals are deterministic (sizes depend only on
-	// message content); which specific messages drop past MaxQueue can
-	// vary with cell-map iteration order, as in the modeled sizing.
+	// encoded sizes. Which messages ship, wait and drop is as
+	// deterministic as under the modeled sizing: cover diffs enumerate
+	// cell populations in id order.
 	WireSizing bool
 	// Pool runs the per-client flush fan-out (default sched.Shared()).
 	Pool *sched.Pool
@@ -146,17 +153,6 @@ type entState struct {
 	sentTick []int64
 }
 
-// update is one shipped field delta, fanned to the cell's subscribers.
-// bytes is the wire-encoded size, computed once at creation (on the
-// single-threaded intake path) when WireSizing is on; 0 means "use the
-// modeled constant".
-type update struct {
-	id    ID
-	fi    int32
-	class Class
-	bytes int32
-}
-
 type eventKind uint8
 
 const (
@@ -166,31 +162,39 @@ const (
 	evLeave // entity moved out of this cell; other = the cell it entered
 )
 
-// event is one membership change in a cell's per-tick list. bytes as
-// in update: creation-time wire-encoded size, 0 = modeled constant.
+// event is one membership change in a cell's per-tick list, with the
+// size of the message it ships (priced once, on the single-threaded
+// intake path).
 type event struct {
 	kind  eventKind
-	id    ID
 	other spatial.CellKey
 	bytes int32
 }
 
-// cellTick accumulates one cell's current-tick traffic.
-type cellTick struct {
-	events  []event
-	updates []update
-}
-
-// qmsg is one queued outbound message: modeled size plus the tick whose
-// state it carries (staleness = delivery tick − payload tick).
-type qmsg struct {
+// run is n consecutive messages of one size carrying one tick's state.
+// Messages are indistinguishable beyond (size, tick), so a run stands
+// for them exactly. A cell's tier runs leave tick zero: they hold only
+// the current tick's updates.
+type run struct {
 	bytes int32
 	tick  int64
+	n     int
+}
+
+// cell is one interest cell: its live population in id order, and the
+// current tick's traffic — membership events in arrival order and the
+// field updates already cut into runs per tier (tiers[t] is what a
+// client at tier t receives).
+type cell struct {
+	ents    []ID
+	events  []event
+	tiers   [3][]run
+	touched bool
 }
 
 // Conn is one connected client: a spatial subscription window, a tier,
-// and a byte-budgeted FIFO. Fields are owned by the hub; read stats
-// between flushes.
+// and a byte-budgeted FIFO of message runs. Fields are owned by the
+// hub; read stats between flushes.
 type Conn struct {
 	ID    int
 	Focus spatial.Vec2
@@ -203,8 +207,13 @@ type Conn struct {
 	coverDirty bool
 	scratch    []spatial.CellKey
 	fresh      []spatial.CellKey
+	// cells caches the cover's cells. The flush that computes a cover
+	// creates any of its cells that do not exist yet, so the cache
+	// stays valid until the cover changes.
+	cells []*cell
 
-	queue     []qmsg
+	queue     []run // FIFO from queue[qHead]
+	qHead     int
 	qBytes    int
 	sampleCtr int
 
@@ -234,16 +243,19 @@ type TickReport struct {
 
 // Hub fans authoritative per-tick deltas out to subscribed clients.
 type Hub struct {
-	cfg   HubConfig
-	specs []FieldSpec
-	tick  int64
+	cfg       HubConfig
+	specs     []FieldSpec
+	tick      int64
+	snapBytes int32 // modeled snapshot size
 
-	ents     map[ID]*entState
-	cellEnts map[spatial.CellKey]map[ID]struct{}
-	cells    map[spatial.CellKey]*cellTick
-	dueAt    map[int64][]ID
+	ents  map[ID]*entState
+	cells map[spatial.CellKey]*cell
+	// touched lists the cells with traffic since the last BeginTick.
+	touched []*cell
+	dueAt   map[int64][]ID
 
-	conns []*Conn
+	conns   []*Conn
+	workers []flushWorker
 
 	// MsgsTotal / BytesTotal / SnapshotTotal / DropTotal accumulate
 	// across the run; Staleness samples delivery delay in ticks;
@@ -262,38 +274,31 @@ type Hub struct {
 	sizeEnc wire.Enc
 }
 
-// updateSize prices one field-update message at creation time.
+// updateSize prices one field-update message.
 func (h *Hub) updateSize(id ID, fi int32, val float64) int32 {
 	if !h.cfg.WireSizing {
-		return 0
+		return msgBytes
 	}
 	h.sizeEnc.Reset()
 	AppendUpdateMsg(&h.sizeEnc, id, fi, val)
 	return int32(h.sizeEnc.Len())
 }
 
-// removeSize prices one removal message at creation time.
-func (h *Hub) removeSize(id ID) int32 {
-	return h.removeSizeInto(&h.sizeEnc, id)
-}
-
-// removeSizeInto is removeSize with the caller's encoder scratch, for
-// the parallel flush workers.
-func (h *Hub) removeSizeInto(e *wire.Enc, id ID) int32 {
+// removeSize prices one removal message with the caller's encoder
+// scratch (flush workers pass their own; the intake passes h.sizeEnc).
+func (h *Hub) removeSize(e *wire.Enc, id ID) int32 {
 	if !h.cfg.WireSizing {
-		return 0
+		return removeBytes
 	}
 	e.Reset()
 	AppendRemoveMsg(e, id)
 	return int32(e.Len())
 }
 
-// snapSizeInto prices one full-entity snapshot with the caller's
-// encoder scratch (flush workers pass their own; the intake passes
-// h.sizeEnc).
-func (h *Hub) snapSizeInto(e *wire.Enc, id ID, vals []float64) int32 {
+// snapSize prices one full-entity snapshot, as removeSize.
+func (h *Hub) snapSize(e *wire.Enc, id ID, vals []float64) int32 {
 	if !h.cfg.WireSizing {
-		return 0
+		return h.snapBytes
 	}
 	e.Reset()
 	AppendSnapshotMsg(e, id, vals)
@@ -304,12 +309,12 @@ func (h *Hub) snapSizeInto(e *wire.Enc, id ID, vals []float64) int32 {
 func NewHub(cfg HubConfig) *Hub {
 	cfg.defaults()
 	return &Hub{
-		cfg:      cfg,
-		specs:    cfg.Specs,
-		ents:     make(map[ID]*entState),
-		cellEnts: make(map[spatial.CellKey]map[ID]struct{}),
-		cells:    make(map[spatial.CellKey]*cellTick),
-		dueAt:    make(map[int64][]ID),
+		cfg:       cfg,
+		specs:     cfg.Specs,
+		snapBytes: int32(len(cfg.Specs) * snapshotBytesPer),
+		ents:      make(map[ID]*entState),
+		cells:     make(map[spatial.CellKey]*cell),
+		dueAt:     make(map[int64][]ID),
 	}
 }
 
@@ -337,22 +342,23 @@ func (h *Hub) MoveClient(c *Conn, focus spatial.Vec2) {
 	c.coverDirty = true
 }
 
-// BeginTick opens a tick: per-cell lists reset and the due index for
-// this tick re-evaluates (time-driven Coarse/Cosmetic ships surface
-// here without any dirty mark, mirroring the shard reconcile's due
-// index).
+// BeginTick opens a tick: the cells touched last tick reset their
+// traffic and the due index for this tick re-evaluates (time-driven
+// Coarse/Cosmetic ships surface here without any dirty mark, mirroring
+// the shard reconcile's due index).
 func (h *Hub) BeginTick(tick int64) {
 	h.tick = tick
-	for _, ct := range h.cells {
+	for _, ct := range h.touched {
 		ct.events = ct.events[:0]
-		ct.updates = ct.updates[:0]
+		for t := range ct.tiers {
+			ct.tiers[t] = ct.tiers[t][:0]
+		}
+		ct.touched = false
 	}
+	h.touched = h.touched[:0]
 	due := h.dueAt[tick]
-	if len(due) == 0 {
-		delete(h.dueAt, tick)
-		return
-	}
-	sort.Slice(due, func(i, j int) bool { return due[i] < due[j] })
+	delete(h.dueAt, tick)
+	slices.Sort(due)
 	for i, id := range due {
 		// Every declined field of an entity registers the entity again,
 		// so one id can sit here several times. Evaluating it once is
@@ -362,13 +368,10 @@ func (h *Hub) BeginTick(tick int64) {
 		if i > 0 && id == due[i-1] {
 			continue
 		}
-		es, ok := h.ents[id]
-		if !ok {
-			continue
+		if es, ok := h.ents[id]; ok {
+			h.evalFields(id, es)
 		}
-		h.evalFields(id, es)
 	}
-	delete(h.dueAt, tick)
 }
 
 // SpawnEntity registers (or re-registers) an entity; subscribed clients
@@ -389,9 +392,9 @@ func (h *Hub) SpawnEntity(id ID, pos spatial.Vec2, vals []float64) {
 		es.sentTick[i] = h.tick
 	}
 	h.ents[id] = es
-	h.cellAdd(es.cell, id)
-	h.cellFor(es.cell).events = append(h.cellFor(es.cell).events,
-		event{kind: evSpawn, id: id, bytes: h.snapSizeInto(&h.sizeEnc, id, es.cur)})
+	ct := h.touch(es.cell)
+	ct.add(id)
+	ct.events = append(ct.events, event{kind: evSpawn, bytes: h.snapSize(&h.sizeEnc, id, es.cur)})
 }
 
 // DespawnEntity removes an entity; subscribed clients get a removal.
@@ -400,9 +403,9 @@ func (h *Hub) DespawnEntity(id ID) {
 	if !ok {
 		return
 	}
-	h.cellFor(es.cell).events = append(h.cellFor(es.cell).events,
-		event{kind: evDespawn, id: id, bytes: h.removeSize(id)})
-	h.cellDel(es.cell, id)
+	ct := h.touch(es.cell)
+	ct.events = append(ct.events, event{kind: evDespawn, bytes: h.removeSize(&h.sizeEnc, id)})
+	ct.del(id)
 	delete(h.ents, id)
 }
 
@@ -415,14 +418,14 @@ func (h *Hub) UpdateEntity(id ID, pos spatial.Vec2, vals []float64) {
 		h.SpawnEntity(id, pos, vals)
 		return
 	}
-	newCell := spatial.CellAt(pos, h.cfg.Cell)
-	if newCell != es.cell {
-		h.cellFor(es.cell).events = append(h.cellFor(es.cell).events,
-			event{kind: evLeave, id: id, other: newCell, bytes: h.removeSize(id)})
-		h.cellFor(newCell).events = append(h.cellFor(newCell).events,
-			event{kind: evEnter, id: id, other: es.cell, bytes: h.snapSizeInto(&h.sizeEnc, id, es.cur)})
-		h.cellDel(es.cell, id)
-		h.cellAdd(newCell, id)
+	if newCell := spatial.CellAt(pos, h.cfg.Cell); newCell != es.cell {
+		from, to := h.touch(es.cell), h.touch(newCell)
+		from.events = append(from.events,
+			event{kind: evLeave, other: newCell, bytes: h.removeSize(&h.sizeEnc, id)})
+		to.events = append(to.events,
+			event{kind: evEnter, other: es.cell, bytes: h.snapSize(&h.sizeEnc, id, es.cur)})
+		from.del(id)
+		to.add(id)
 		es.cell = newCell
 	}
 	es.pos = pos
@@ -434,14 +437,16 @@ func (h *Hub) UpdateEntity(id ID, pos spatial.Vec2, vals []float64) {
 // emitting ships into the entity's cell and registering dues for
 // declined-but-diverged values.
 func (h *Hub) evalFields(id ID, es *entState) {
-	ct := h.cellFor(es.cell)
+	var ct *cell
 	for fi, spec := range h.specs {
 		cur := es.cur[fi]
 		if spec.ShouldShip(cur, es.sent[fi], h.tick, es.sentTick[fi]) {
 			es.sent[fi] = cur
 			es.sentTick[fi] = h.tick
-			ct.updates = append(ct.updates,
-				update{id: id, fi: int32(fi), class: spec.Class, bytes: h.updateSize(id, int32(fi), cur)})
+			if ct == nil {
+				ct = h.touch(es.cell)
+			}
+			h.addUpdate(ct, spec.Class, h.updateSize(id, int32(fi), cur))
 			continue
 		}
 		if cur != es.sent[fi] {
@@ -452,27 +457,62 @@ func (h *Hub) evalFields(id ID, es *entState) {
 	}
 }
 
-func (h *Hub) cellFor(k spatial.CellKey) *cellTick {
+// addUpdate appends one shipped field update to the run list of every
+// tier that receives its class: Exact reaches all tiers, Coarse skips
+// TierCosmetic except every CoarseThinning-th tick, Cosmetic reaches
+// only TierExact.
+func (h *Hub) addUpdate(ct *cell, class Class, bytes int32) {
+	ct.tiers[TierExact] = appendRun(ct.tiers[TierExact], bytes, 0, 1)
+	if class == Cosmetic {
+		return
+	}
+	ct.tiers[TierCoarse] = appendRun(ct.tiers[TierCoarse], bytes, 0, 1)
+	if class == Coarse && h.tick%h.cfg.CoarseThinning != 0 {
+		return
+	}
+	ct.tiers[TierCosmetic] = appendRun(ct.tiers[TierCosmetic], bytes, 0, 1)
+}
+
+// appendRun appends n messages of one size and tick to rs, extending
+// the last run when it matches.
+func appendRun(rs []run, bytes int32, tick int64, n int) []run {
+	if l := len(rs) - 1; l >= 0 && rs[l].bytes == bytes && rs[l].tick == tick {
+		rs[l].n += n
+		return rs
+	}
+	return append(rs, run{bytes: bytes, tick: tick, n: n})
+}
+
+// cellAt returns cell k, creating it if needed.
+func (h *Hub) cellAt(k spatial.CellKey) *cell {
 	ct := h.cells[k]
 	if ct == nil {
-		ct = &cellTick{}
+		ct = &cell{}
 		h.cells[k] = ct
 	}
 	return ct
 }
 
-func (h *Hub) cellAdd(k spatial.CellKey, id ID) {
-	s := h.cellEnts[k]
-	if s == nil {
-		s = make(map[ID]struct{})
-		h.cellEnts[k] = s
+// touch returns cell k and lists it for the next BeginTick's reset.
+func (h *Hub) touch(k spatial.CellKey) *cell {
+	ct := h.cellAt(k)
+	if !ct.touched {
+		ct.touched = true
+		h.touched = append(h.touched, ct)
 	}
-	s[id] = struct{}{}
+	return ct
 }
 
-func (h *Hub) cellDel(k spatial.CellKey, id ID) {
-	if s := h.cellEnts[k]; s != nil {
-		delete(s, id)
+// add inserts id into the cell's sorted population.
+func (ct *cell) add(id ID) {
+	i, _ := slices.BinarySearch(ct.ents, id)
+	ct.ents = slices.Insert(ct.ents, i, id)
+}
+
+// del removes id from the cell's sorted population.
+func (ct *cell) del(id ID) {
+	if i, ok := slices.BinarySearch(ct.ents, id); ok {
+		ct.ents = slices.Delete(ct.ents, i, i+1)
 	}
 }
 
@@ -480,6 +520,24 @@ func (h *Hub) cellDel(k spatial.CellKey, id ID) {
 // predicate CellCover uses, so membership tests agree with the cover.
 func subscribed(focus spatial.Vec2, aoi, cell float64, k spatial.CellKey) bool {
 	return k.Rect(cell).Dist2(focus) <= aoi*aoi
+}
+
+// flushWorker is one flush worker's tally and scratch, kept across
+// flushes so a steady-state flush allocates nothing per client.
+type flushWorker struct {
+	stats   flushStats
+	tiers   [3]int
+	samples []float64
+	enc     wire.Enc // sizing scratch; h.sizeEnc is intake-only
+	// missing lists cover slots whose cell does not exist yet; the
+	// flush creates them once the workers are done.
+	missing []coverSlot
+}
+
+// coverSlot is entry i of a client's cover.
+type coverSlot struct {
+	c *Conn
+	i int
 }
 
 // FlushTick fans the tick's accumulated traffic to every client (over
@@ -496,39 +554,39 @@ func (h *Hub) FlushTick() TickReport {
 	if workers > n {
 		workers = n
 	}
-	type tally struct {
-		stats   flushStats
-		tiers   [3]int
-		samples []float64
+	if len(h.workers) < workers {
+		h.workers = make([]flushWorker, workers)
 	}
-	tallies := make([]tally, workers)
+	ws := h.workers[:workers]
 	chunk := (n + workers - 1) / workers
 	pool.Par(workers, func(wi int) {
-		lo, hi := wi*chunk, (wi+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		tl := &tallies[wi]
-		var enc wire.Enc // per-worker sizing scratch; h.sizeEnc is intake-only
+		lo, hi := wi*chunk, min((wi+1)*chunk, n)
+		w := &ws[wi]
+		w.stats, w.tiers, w.samples, w.missing = flushStats{}, [3]int{}, w.samples[:0], w.missing[:0]
 		for _, c := range h.conns[lo:hi] {
-			fs := h.flushConn(c, &tl.samples, &enc)
-			tl.stats.add(fs)
-			tl.tiers[c.tier]++
+			w.stats.add(h.flushConn(c, w))
+			w.tiers[c.tier]++
 		}
 	})
-	for wi := range tallies {
-		tl := &tallies[wi]
-		rep.Msgs += tl.stats.msgs
-		rep.Bytes += tl.stats.bytes
-		rep.Snapshots += tl.stats.snaps
-		rep.Drops += tl.stats.drops
+	for wi := range ws {
+		w := &ws[wi]
+		rep.Msgs += w.stats.msgs
+		rep.Bytes += w.stats.bytes
+		rep.Snapshots += w.stats.snaps
+		rep.Drops += w.stats.drops
 		for t := 0; t < 3; t++ {
-			rep.Tiers[t] += tl.tiers[t]
+			rep.Tiers[t] += w.tiers[t]
 		}
-		h.DegradeTotal.Add(tl.stats.degrades)
-		h.UpgradeTotal.Add(tl.stats.upgrades)
-		for _, s := range tl.samples {
+		h.DegradeTotal.Add(w.stats.degrades)
+		h.UpgradeTotal.Add(w.stats.upgrades)
+		for _, s := range w.samples {
 			h.Staleness.Record(s)
+		}
+		for _, m := range w.missing {
+			m.c.cells[m.i] = h.cellAt(m.c.cover[m.i])
+		}
+		if cap(w.missing) > 4096 {
+			w.missing = nil // a first flush's worth; steady state needs little
 		}
 	}
 	h.MsgsTotal.Add(rep.Msgs)
@@ -562,48 +620,82 @@ func cellLess(a, b spatial.CellKey) bool {
 	return a.X < b.X
 }
 
-// enqueue appends one modeled message to the client's FIFO, dropping
-// oldest messages past the backlog cap.
-func (h *Hub) enqueue(c *Conn, bytes int32, fs *flushStats) {
-	c.queue = append(c.queue, qmsg{bytes: bytes, tick: h.tick})
-	c.qBytes += int(bytes)
-	for c.qBytes > h.cfg.MaxQueue && len(c.queue) > 0 {
-		c.qBytes -= int(c.queue[0].bytes)
-		c.queue = c.queue[1:]
-		fs.drops++
+// enqueue appends n messages of one size, carrying this tick's state,
+// to the client's FIFO, then drops the oldest past the backlog cap.
+// Dropping after a run leaves the same survivors as dropping after each
+// of its messages: either way the queue keeps the longest suffix that
+// fits MaxQueue.
+func (h *Hub) enqueue(c *Conn, bytes int32, n int, fs *flushStats) {
+	if n == 0 {
+		return
+	}
+	if c.qHead < len(c.queue) {
+		c.queue = appendRun(c.queue, bytes, h.tick, n)
+	} else {
+		c.queue = append(c.queue[:0], run{bytes: bytes, tick: h.tick, n: n})
+		c.qHead = 0
+	}
+	c.qBytes += int(bytes) * n
+	for c.qBytes > h.cfg.MaxQueue && c.qHead < len(c.queue) {
+		r := &c.queue[c.qHead]
+		k := r.n
+		if r.bytes > 0 {
+			k = min(k, ceilDiv(c.qBytes-h.cfg.MaxQueue, int(r.bytes)))
+		}
+		r.n -= k
+		c.qBytes -= k * int(r.bytes)
+		fs.drops += int64(k)
+		if r.n == 0 {
+			c.qHead++
+		}
 	}
 }
 
-// flushConn runs one client's tick: window maintenance (cover diff →
-// snapshots and removals), traffic collection from covered cells under
-// the tier filter, then a budgeted FIFO drain and the tier watermarks.
-func (h *Hub) flushConn(c *Conn, samples *[]float64, enc *wire.Enc) flushStats {
-	var fs flushStats
-	cell := h.cfg.Cell
-	snapBytes := int32(len(h.specs) * snapshotBytesPer)
-	// Cover-diff messages are sized here rather than at creation: the
-	// window move invents them, no intake event carries their bytes.
-	// Entities in cells left behind are still alive (still in h.ents) —
+// enqueueCell queues one message per member of a cell population — a
+// snapshot each (snap) or a removal each — in id order. Under modeled
+// sizing every message is the same size, so the population is one run.
+func (h *Hub) enqueueCell(c *Conn, ct *cell, snap bool, enc *wire.Enc, fs *flushStats) {
+	if ct == nil || len(ct.ents) == 0 {
+		return
+	}
+	if snap {
+		fs.snaps += int64(len(ct.ents))
+	}
+	if !h.cfg.WireSizing {
+		b := int32(removeBytes)
+		if snap {
+			b = h.snapBytes
+		}
+		h.enqueue(c, b, len(ct.ents), fs)
+		return
+	}
+	// Entities in cells left behind are still alive (still in h.ents):
 	// only this client's window moved, nothing despawned.
-	snapSize := func(id ID) int32 {
-		if b := h.snapSizeInto(enc, id, h.ents[id].cur); b != 0 {
-			return b
+	for _, id := range ct.ents {
+		if snap {
+			h.enqueue(c, h.snapSize(enc, id, h.ents[id].cur), 1, fs)
+		} else {
+			h.enqueue(c, h.removeSize(enc, id), 1, fs)
 		}
-		return snapBytes
 	}
-	remSize := func(id ID) int32 {
-		if b := h.removeSizeInto(enc, id); b != 0 {
-			return b
-		}
-		return removeBytes
-	}
+}
+
+func ceilDiv(a, b int) int { return (a + b - 1) / b }
+
+// flushConn runs one client's tick: window maintenance (cover diff →
+// snapshots and removals), traffic collection from covered cells at
+// the client's tier, then a budgeted FIFO drain and the tier
+// watermarks.
+func (h *Hub) flushConn(c *Conn, w *flushWorker) flushStats {
+	var fs flushStats
+	cellSize := h.cfg.Cell
 
 	// fresh lists this flush's newly covered cells: their end-of-tick
 	// population snapshots wholesale below, so their per-tick event and
 	// update lists are already baked in and must not replay.
 	var fresh []spatial.CellKey
 	if c.coverDirty {
-		newCover := spatial.CellCover(c.Focus, c.AOI, cell, c.scratch[:0])
+		newCover := spatial.CellCover(c.Focus, c.AOI, cellSize, c.scratch[:0])
 		fresh = c.fresh[:0]
 		// Merge-walk old vs new cover (both row-major): cells only in
 		// the new cover snapshot their population, cells only in the
@@ -612,15 +704,10 @@ func (h *Hub) flushConn(c *Conn, samples *[]float64, enc *wire.Enc) flushStats {
 		for i < len(c.cover) || j < len(newCover) {
 			switch {
 			case j == len(newCover) || (i < len(c.cover) && cellLess(c.cover[i], newCover[j])):
-				for id := range h.cellEnts[c.cover[i]] {
-					h.enqueue(c, remSize(id), &fs)
-				}
+				h.enqueueCell(c, h.cells[c.cover[i]], false, &w.enc, &fs)
 				i++
 			case i == len(c.cover) || cellLess(newCover[j], c.cover[i]):
-				for id := range h.cellEnts[newCover[j]] {
-					h.enqueue(c, snapSize(id), &fs)
-					fs.snaps++
-				}
+				h.enqueueCell(c, h.cells[newCover[j]], true, &w.enc, &fs)
 				fresh = append(fresh, newCover[j])
 				j++
 			default:
@@ -632,95 +719,92 @@ func (h *Hub) flushConn(c *Conn, samples *[]float64, enc *wire.Enc) flushStats {
 		c.cover = newCover
 		c.fresh = fresh
 		c.coverDirty = false
+		c.cells = c.cells[:0]
+		for i, k := range c.cover {
+			ct := h.cells[k]
+			if ct == nil {
+				// Created after the parallel phase; empty until then.
+				w.missing = append(w.missing, coverSlot{c, i})
+			}
+			c.cells = append(c.cells, ct)
+		}
 	}
 
 	fn := 0
-	for _, k := range c.cover {
-		if fn < len(fresh) && fresh[fn] == k {
+	for i, ct := range c.cells {
+		if fn < len(fresh) && fresh[fn] == c.cover[i] {
 			// Snapshot this flush: events would double-ship spawns and
 			// entries the population snapshot already carries, and
 			// updates are baked into the snapshot values.
 			fn++
 			continue
 		}
-		ct := h.cells[k]
-		if ct == nil {
+		if ct == nil || !ct.touched {
 			continue
 		}
 		for _, ev := range ct.events {
-			// An event sized at creation carries its bytes; zero means
-			// modeled sizing was in force when it was queued.
-			b := ev.bytes
 			switch ev.kind {
 			case evSpawn:
-				if b == 0 {
-					b = snapBytes
-				}
-				h.enqueue(c, b, &fs)
+				h.enqueue(c, ev.bytes, 1, &fs)
 				fs.snaps++
 			case evDespawn:
-				if b == 0 {
-					b = removeBytes
-				}
-				h.enqueue(c, b, &fs)
+				h.enqueue(c, ev.bytes, 1, &fs)
 			case evEnter:
 				// Came from a cell this window also covers: already
 				// visible, the deltas carry it.
-				if !subscribed(c.Focus, c.AOI, cell, ev.other) {
-					if b == 0 {
-						b = snapBytes
-					}
-					h.enqueue(c, b, &fs)
+				if !subscribed(c.Focus, c.AOI, cellSize, ev.other) {
+					h.enqueue(c, ev.bytes, 1, &fs)
 					fs.snaps++
 				}
 			case evLeave:
-				if !subscribed(c.Focus, c.AOI, cell, ev.other) {
-					if b == 0 {
-						b = removeBytes
-					}
-					h.enqueue(c, b, &fs)
+				if !subscribed(c.Focus, c.AOI, cellSize, ev.other) {
+					h.enqueue(c, ev.bytes, 1, &fs)
 				}
 			}
 		}
-		for _, u := range ct.updates {
-			switch u.class {
-			case Cosmetic:
-				if c.tier != TierExact {
-					continue
-				}
-			case Coarse:
-				if c.tier == TierCosmetic && h.tick%h.cfg.CoarseThinning != 0 {
-					continue
-				}
-			}
-			if u.bytes != 0 {
-				h.enqueue(c, u.bytes, &fs)
-			} else {
-				h.enqueue(c, msgBytes, &fs)
-			}
+		for _, r := range ct.tiers[c.tier] {
+			h.enqueue(c, r.bytes, r.n, &fs)
 		}
 	}
 
-	// Budgeted drain, oldest first; staleness samples the delivery
-	// delay in ticks.
+	// Budgeted drain, oldest first: a run yields min(n, ceil(budget /
+	// size)) messages, exactly as many as a message-at-a-time drain
+	// takes before the budget runs out. Staleness samples every
+	// StalenessSample-th delivered message's delay in ticks.
 	budget := c.Budget
 	if budget <= 0 {
 		budget = h.cfg.ByteBudget
 	}
-	for len(c.queue) > 0 && budget > 0 {
-		m := c.queue[0]
-		c.queue = c.queue[1:]
-		c.qBytes -= int(m.bytes)
-		budget -= int(m.bytes)
-		fs.msgs++
-		fs.bytes += int64(m.bytes)
-		c.sampleCtr++
-		if c.sampleCtr%h.cfg.StalenessSample == 0 {
-			*samples = append(*samples, float64(h.tick-m.tick))
+	every := h.cfg.StalenessSample
+	for budget > 0 && c.qHead < len(c.queue) {
+		r := &c.queue[c.qHead]
+		k := r.n
+		if r.bytes > 0 {
+			k = min(k, ceilDiv(budget, int(r.bytes)))
+		}
+		b := k * int(r.bytes)
+		r.n -= k
+		c.qBytes -= b
+		budget -= b
+		fs.msgs += int64(k)
+		fs.bytes += int64(b)
+		for s := (c.sampleCtr+k)/every - c.sampleCtr/every; s > 0; s-- {
+			w.samples = append(w.samples, float64(h.tick-r.tick))
+		}
+		c.sampleCtr += k
+		if r.n == 0 {
+			c.qHead++
 		}
 	}
-	if len(c.queue) == 0 && cap(c.queue) > 1024 {
-		c.queue = nil // reclaim a drained backlog's slid backing array
+	// Slide the live runs down once the consumed head outweighs them, so
+	// the backing array is reused rather than grown.
+	if live := len(c.queue) - c.qHead; live == 0 {
+		c.queue, c.qHead = c.queue[:0], 0
+		if cap(c.queue) > 1024 {
+			c.queue = nil // reclaim a drained backlog's array
+		}
+	} else if c.qHead >= live {
+		c.queue, c.qHead = c.queue[:copy(c.queue, c.queue[c.qHead:])], 0
 	}
 
 	if c.qBytes > h.cfg.DegradeAt && c.tier < TierCosmetic {

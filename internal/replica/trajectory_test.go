@@ -153,9 +153,9 @@ func foldDigests(ds []uint64) uint64 {
 
 // TestHubTrajectoryPinned pins the hub's exact per-client behaviour
 // under modeled sizing: which messages ship, drop and wait, when tiers
-// move, and every staleness sample. The golden value was recorded from
-// the message-at-a-time flush that predates run-length queues; any
-// change to the flush must reproduce it bit for bit.
+// move, and every staleness sample. The golden value is the reference
+// behaviour, not a snapshot to regenerate: a change to the flush must
+// reproduce it bit for bit.
 func TestHubTrajectoryPinned(t *testing.T) {
 	const want = uint64(0xb41febc3c3b33b5b)
 	traj, h := hubTrajectory(false)
@@ -168,5 +168,62 @@ func TestHubTrajectoryPinned(t *testing.T) {
 		t.Fatalf("scenario misses a path: drops=%d degrades=%d upgrades=%d snapshots=%d samples=%d",
 			h.DropTotal.Load(), h.DegradeTotal.Load(), h.UpgradeTotal.Load(),
 			h.SnapshotTotal.Load(), h.Staleness.Count())
+	}
+}
+
+// TestHubWireSizingDeterministic: under wire sizing, snapshot and
+// removal sizes depend on the entity id, so the order a cover diff
+// enumerates a cell's population decides which messages fit a budget
+// and which drop. That order must be fixed: the same call sequence
+// yields the same per-client trajectory every run.
+func TestHubWireSizingDeterministic(t *testing.T) {
+	first, _ := hubTrajectory(true)
+	for run := 1; run < 5; run++ {
+		again, _ := hubTrajectory(true)
+		for i := range first {
+			if again[i] != first[i] {
+				t.Fatalf("run %d diverged from run 0 at tick %d", run, i+1)
+			}
+		}
+	}
+}
+
+// TestHubFlushAllocsConstant: a warmed-up flush with no cover changes
+// costs a small constant number of allocations, however many clients
+// it serves and however many messages they queue.
+func TestHubFlushAllocsConstant(t *testing.T) {
+	allocs := func(clients int) float64 {
+		h := NewHub(HubConfig{Specs: hubSpecs(), Cell: 32, ByteBudget: 100})
+		rng := rand.New(rand.NewSource(7))
+		for i := 0; i < clients; i++ {
+			budget := 0
+			if i%4 == 0 {
+				budget = 20 // throttled: keeps a backlog that drops
+			}
+			h.AddClient(i, spatial.Vec2{X: rng.Float64() * 640, Y: rng.Float64() * 640}, 64, budget)
+		}
+		pos := make([]spatial.Vec2, 400)
+		for i := range pos {
+			pos[i] = spatial.Vec2{X: rng.Float64() * 640, Y: rng.Float64() * 640}
+		}
+		vals := []float64{0, 0, 0}
+		tick := int64(0)
+		step := func() {
+			tick++
+			h.BeginTick(tick)
+			for i, p := range pos {
+				vals[0], vals[1], vals[2] = float64(tick), float64(tick*2), float64(tick)
+				h.UpdateEntity(ID(i+1), p, vals)
+			}
+			h.FlushTick()
+		}
+		for i := 0; i < 50; i++ {
+			step() // first flush snapshots every window; then queues settle
+		}
+		return testing.AllocsPerRun(20, func() { h.FlushTick() })
+	}
+	small, large := allocs(500), allocs(5000)
+	if small != large || large > 8 {
+		t.Fatalf("steady-state flush allocations: %v at 500 clients, %v at 5000; want equal and small", small, large)
 	}
 }
